@@ -12,20 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from functools import cmp_to_key
+from typing import NamedTuple
 
 from .bag import Bag
 from .net import Net, Pair, Place, System, Transition
 
 GroupKey = tuple[tuple[Pair, ...], str]  # (label suffix, tag)
 Assignment = dict[GroupKey, dict[int, int]]
-
-# Up to this many admissible assignments, the normal form is found by exact
-# enumeration; above it, a linear-time content sort picks the representative.
-# The sort provably yields one fixed representative per class, but on systems
-# whose rendering interleaves sibling groups of distinct same-depth contexts
-# it may not be the byte-order minimum.
-REFINE_BOUND = 16
 
 
 class CanonBoundError(RuntimeError):
@@ -53,18 +46,12 @@ def sibling_groups(net: Net) -> tuple[tuple[GroupKey, tuple[int, ...]], ...]:
     return net._groups
 
 
-def _rewrite_pairs(pairs: tuple[Pair, ...], chosen: Assignment) -> tuple[Pair, ...]:
-    out = []
-    n = len(pairs)
-    for q in range(n):
-        tag, idx = pairs[q]
-        mapping = chosen.get((pairs[q + 1:], tag))
-        out.append((tag, mapping[idx]) if mapping is not None else (tag, idx))
-    return tuple(out)
-
-
 def _rewrite_place(pl: Place, chosen: Assignment) -> Place:
-    return Place(_rewrite_pairs(pl.pairs, chosen))
+    out = []
+    for q, (tag, idx) in enumerate(pl.pairs):
+        mapping = chosen.get((pl.pairs[q + 1:], tag))
+        out.append((tag, mapping[idx]) if mapping is not None else (tag, idx))
+    return Place(out)
 
 
 def _rewrite_bag(bag: Bag, memo: dict, chosen: Assignment) -> Bag:
@@ -76,73 +63,6 @@ def _rewrite_bag(bag: Bag, memo: dict, chosen: Assignment) -> Bag:
             memo[pl] = npl
         out[npl] = out.get(npl, 0) + c
     return Bag(out)
-
-
-def _count_cmp(a: int, b: int) -> int:
-    # positive counts compare as their decimal strings, matching byte order
-    # of the rendered "count . place" entries
-    if a == b:
-        return 0
-    sa, sb = str(a), str(b)
-    if sa == sb:
-        return 0
-    return -1 if sa < sb else 1
-
-
-def _key_cmp(ka: list, kb: list) -> int:
-    """Compare sibling keys: per-label counts in label order, present first."""
-    ia, ib = 0, 0
-    while ia < len(ka) and ib < len(kb):
-        la, ca = ka[ia]
-        lb, cb = kb[ib]
-        if la == lb:
-            c = _count_cmp(ca, cb)
-            if c:
-                return c
-            ia += 1
-            ib += 1
-        elif la < lb:
-            return -1  # a marked at a label where b is empty
-        else:
-            return 1
-    if ia < len(ka):
-        return -1
-    if ib < len(kb):
-        return 1
-    return 0
-
-
-def _choose_assignment(net: Net, marking: Bag) -> Assignment:
-    """Pick the index relabeling that minimizes the marking rendering.
-
-    Groups are processed innermost first so that outer-level comparisons see
-    already-normalized inner content.  Within a group, siblings are sorted
-    by their per-inner-label token counts and reassigned indices 0..k-1;
-    ties keep their relative order (tied siblings are interchangeable).
-    """
-    chosen: Assignment = {}
-    entries = marking.items()
-    for key, indices in sibling_groups(net):
-        if len(indices) == 1 and indices[0] == 0:
-            continue
-        sib: dict[int, list] = {i: [] for i in indices}
-        rewritten: dict[Place, tuple[Pair, ...]] = {}
-        for pl, cnt in entries:
-            for suffix, tag, idx, q in pl.memberships:
-                if (suffix, tag) == key:
-                    cur = rewritten.get(pl)
-                    if cur is None:
-                        cur = _rewrite_pairs(pl.pairs, chosen)
-                        rewritten[pl] = cur
-                    sib[idx].append((cur[:q] + ((tag, -1),), cnt))
-                    break
-        for i in indices:
-            sib[i].sort()
-        order = sorted(indices, key=cmp_to_key(lambda a, b: _key_cmp(sib[a], sib[b])))
-        mapping = {old: new for new, old in enumerate(order)}
-        if any(old != new for old, new in mapping.items()):
-            chosen[key] = mapping
-    return chosen
 
 
 def _assignment_count(net: Net, bound: int) -> int:
@@ -162,59 +82,154 @@ def _dense_assignments(net: Net):
         yield {key: dict(zip(ix, perm)) for key, ix, perm in zip(keys, index_sets, combo)}
 
 
+class _NetForm(NamedTuple):
+    """What normalization needs to know about one raw net."""
+
+    net: Net  # the canonical net
+    relabelings: tuple  # place maps from the raw net onto ``net``, one per candidate
+    cells: dict  # place of a column-sorted group -> (tag, row, column)
+
+
+# Keyed by net value: rewrites rebuild equal nets as new objects.
+_FORMS: dict[Net, _NetForm] = {}
+
+
+def _arrangements(groups):
+    """Every assignment that permutes each of the given dense groups."""
+    keys = [key for key, _ in groups]
+    perms = [list(itertools.permutations(range(len(ix)))) for _, ix in groups]
+    for combo in itertools.product(*perms):
+        yield {key: dict(enumerate(perm)) for key, perm in zip(keys, combo)}
+
+
+def _swap_fixes(net: Net, key: GroupKey, i: int, k: int) -> bool:
+    swap = {j: j for j in range(k)} | {i: i + 1, i + 1: i}
+    return apply_assignment(System(net), {key: swap}).net == net
+
+
+def _net_form(net: Net) -> _NetForm:
+    """Canonical net and marking candidates of a raw net, computed once.
+
+    The net is densified first.  If every adjacent transposition of every
+    sibling group fixes the dense net, those transpositions generate the
+    admissible group, so the dense net is every assignment's image; the
+    candidates are then the arrangements of the groups that the column sort
+    cannot order.  Otherwise every assignment is tried and those reaching
+    the minimal net rendering are kept.
+    """
+    form = _FORMS.get(net)
+    if form is not None:
+        return form
+    densify = {key: dict(zip(ix, range(len(ix)))) for key, ix in sibling_groups(net)}
+    dense = apply_assignment(System(net), densify).net
+    groups = [(key, ix) for key, ix in sibling_groups(dense) if len(ix) > 1]
+    symmetric = all(
+        _swap_fixes(dense, key, i, len(ix)) for key, ix in groups for i in range(len(ix) - 1)
+    )
+    # a top-level group whose tag never occurs further in has contiguous
+    # rows in the rendering: one per inner label, one cell per index
+    inner = {tag for pl in dense.places() for tag, _ in pl.pairs[:-1]}
+    sortable = frozenset(
+        tag for (suffix, tag), _ in groups if symmetric and not suffix and tag not in inner
+    )
+    rest = [(key, ix) for key, ix in groups if key[0] or key[1] not in sortable]
+    bound = 10**6  # brute_force_normal's default
+    total = math.prod(math.factorial(len(ix)) for _, ix in rest)
+    if total > bound:
+        raise CanonBoundError(total, bound)
+    if symmetric:
+        best, kept = dense, list(_arrangements(rest))
+    else:
+        best, kept = None, []
+        for assignment in _arrangements(rest):
+            image = apply_assignment(System(dense), assignment).net
+            if best is None or image.render() < best.render():
+                best, kept = image, []
+            if image == best:
+                kept.append(assignment)
+    # one object per canonical net: lookups by a state's net then succeed
+    # on identity instead of comparing transitions
+    if best == net:
+        best = net
+    elif best in _FORMS:
+        best = _FORMS[best].net
+    relabelings = tuple(
+        {pl: _rewrite_place(_rewrite_place(pl, densify), a) for pl in net.places()} for a in kept
+    )
+    cells, rows = {}, {}
+    for pl in best.places():  # in place order, so rows are ranked in rendering order
+        tag, i = pl.pairs[-1]
+        if tag in sortable:
+            cells[pl] = (tag, rows.setdefault((tag, pl.pairs[:-1]), len(rows)), i)
+    form = _FORMS[net] = _NetForm(best, relabelings, cells)
+    return form
+
+
+def _sort_columns(entries: dict, form: _NetForm) -> dict:
+    """Renumber the indices of each column-sorted group by column content.
+
+    Columns compare cell by cell, row by row in place order: a present cell
+    comes before an absent one, and present cells compare by count as
+    decimal strings, which is the byte order of the rendered entries.
+    """
+    columns: dict = {}
+    for pl, c in entries.items():
+        cell = form.cells.get(pl)
+        if cell is not None:
+            tag, row, i = cell
+            columns.setdefault(tag, {}).setdefault(i, []).append((row, str(c)))
+    end = (math.inf,)  # past every row: a column with no more cells is absent there
+    renumber = {}
+    for tag, col in columns.items():
+        for column in col.values():
+            column.sort()
+            column.append(end)
+        order = sorted(col, key=col.__getitem__)
+        renumber[tag] = {old: new for new, old in enumerate(order)}
+    out = {}
+    for pl, c in entries.items():
+        cell = form.cells.get(pl)
+        if cell is not None:
+            tag, _row, i = cell
+            pl = Place(pl.pairs[:-1] + ((tag, renumber[tag][i]),))
+        out[pl] = c
+    return out
+
+
+def _minimal_marking(form: _NetForm, marking: Bag) -> Bag:
+    """The smallest rendering of the marking over the form's candidates."""
+    best = None
+    seen = set()
+    for relabel in form.relabelings:
+        entries = {relabel[pl]: c for pl, c in marking.items()}
+        image = frozenset(entries.items())
+        if image in seen:
+            continue
+        seen.add(image)
+        if form.cells:
+            entries = _sort_columns(entries, form)
+        cand = Bag(entries)
+        if best is None or cand.render() < best.render():
+            best = cand
+    return best
+
+
 def normalize(system: System) -> System:
     """The canonical representative of the system's automorphism class.
 
-    Idempotent and permutation-invariant; indices of every sibling group span
-    0..k-1 afterwards.  Up to ``REFINE_BOUND`` admissible assignments the
-    representative is the exact byte-order minimum (enumerated); larger
-    systems use the content-sorted representative.  On inputs without
-    symmetric labeling the result is still deterministic but may not be
-    class-minimal.
+    This is the byte-order minimal rendering over all admissible
+    assignments, the same system ``brute_force_normal`` returns; indices of
+    every sibling group span 0..k-1 afterwards.  The column sort orders
+    index strings like numbers only up to 10 siblings; larger groups still
+    get one representative per class, which may not be the minimum.
     """
-    if _assignment_count(system.net, REFINE_BOUND) <= REFINE_BOUND:
-        best = None
-        for assignment in _dense_assignments(system.net):
-            cand = apply_assignment(system, assignment)
-            if best is None or cand.key < best.key:
-                best = cand
-        return best
-    chosen = _choose_assignment(system.net, system.marking)
-    if not chosen:
-        return system
-    memo: dict = {}
-    marking = _rewrite_bag(system.marking, memo, chosen)
-    net = Net(
-        Transition(
-            _rewrite_bag(t.input, memo, chosen),
-            _rewrite_bag(t.output, memo, chosen),
-            _rewrite_bag(t.inhibitor, memo, chosen),
-            t.tag,
-        )
-        for t in system.net
-    )
-    return System(net, marking)
+    form = _net_form(system.net)
+    return System(form.net, _minimal_marking(form, system.marking))
 
 
 def normalize_marking(net: Net, marking: Bag) -> Bag:
-    """Normal form of a marking over a net already in normal form.
-
-    The net's self-automorphisms are the permutation candidates, so the net
-    subterm is left untouched.
-    """
-    if _assignment_count(net, REFINE_BOUND) <= REFINE_BOUND:
-        # the net maps onto itself under every admissible assignment, so the
-        # smallest marking rendering identifies the smallest system
-        best = None
-        for assignment in _dense_assignments(net):
-            cand = _rewrite_bag(marking, {}, assignment)
-            if best is None or cand.render() < best.render():
-                best = cand
-        return best
-    chosen = _choose_assignment(net, marking)
-    if not chosen:
-        return marking
-    return _rewrite_bag(marking, {}, chosen)
+    """Normal form of a marking over a net already in normal form."""
+    return _minimal_marking(_net_form(net), marking)
 
 
 def apply_assignment(system: System, assignment: Assignment) -> System:

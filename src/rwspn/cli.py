@@ -102,18 +102,6 @@ def _perturbed(gen: Generator, partition) -> Generator:
 
 
 def cmd_verify(args) -> int:
-    from . import canon
-
-    # the whole verification pass runs with exact-minimal normal forms
-    saved_bound = canon.REFINE_BOUND
-    canon.REFINE_BOUND = 10**6
-    try:
-        return _verify(args)
-    finally:
-        canon.REFINE_BOUND = saved_bound
-
-
-def _verify(args) -> int:
     rules = _rules_for(args)
     system = build_npl_sys(args.n, args.k, args.m)
     quotient = explore(system, rules, mode="quotient", workers=args.workers)
@@ -175,7 +163,7 @@ def main(argv=None) -> int:
     _model_args(p)
     p.add_argument("--mode", choices=("quotient", "ordinary"), default="quotient")
     p.add_argument("--budget", type=int, default=None, help="state budget")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--verify-symmetry", action="store_true",
                    help="cross-check every state against the brute-force normalizer")
     p.set_defaults(func=cmd_explore)
@@ -185,12 +173,12 @@ def main(argv=None) -> int:
     p.add_argument("--eps", type=float, default=1e-9, help="transient solver accuracy")
     p.add_argument("--grid", default="1:10000:60", help="log-spaced grid START:STOP:POINTS")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="normalizer oracle and lumping checks")
     _model_args(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--perturb", action="store_true",
                    help="flip one rate; lumpability must then fail")
     p.set_defaults(func=cmd_verify)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -131,7 +130,9 @@ def explore(
     Ordinary mode stores states verbatim, one edge per firing instance or
     rule match (parallel same-label edges merge, rates summed); rules whose
     right-hand side normalizes still do so, since that is part of the rule.
-    Output is deterministic for any worker count.
+    Exploration is single-threaded; ``workers`` is accepted for
+    compatibility and has no effect.  ``max_states`` is checked as each
+    state is added.
     """
     if mode == "quotient":
         start = normalize(initial)
@@ -148,29 +149,22 @@ def explore(
     edges: list[Edge] = []
     frontier = [0]
     level = 0
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    try:
-        while frontier:
-            level += 1
-            batch = [states[i] for i in frontier]
-            results = list(pool.map(successors, batch)) if pool else [successors(s) for s in batch]
-            next_frontier: list[int] = []
-            for src, recs in zip(frontier, results):
-                for target, label, rate in recs:
-                    tid = ids.get(target)
-                    if tid is None:
-                        tid = len(states)
-                        ids[target] = tid
-                        states.append(target)
-                        levels.append(level)
-                        next_frontier.append(tid)
-                    edges.append((src, tid, label, rate))
-            if max_states is not None and len(states) > max_states:
-                raise BudgetExceededError(len(states), level, max_states)
-            frontier = next_frontier
-    finally:
-        if pool:
-            pool.shutdown()
+    while frontier:
+        level += 1
+        next_frontier: list[int] = []
+        for src in frontier:
+            for target, label, rate in successors(states[src]):
+                tid = ids.get(target)
+                if tid is None:
+                    tid = len(states)
+                    ids[target] = tid
+                    states.append(target)
+                    levels.append(level)
+                    next_frontier.append(tid)
+                    if max_states is not None and len(states) > max_states:
+                        raise BudgetExceededError(len(states), level, max_states)
+                edges.append((src, tid, label, rate))
+        frontier = next_frontier
 
     # renumber: BFS level, then canonical order within a level
     order = sorted(range(len(states)), key=lambda i: (levels[i], states[i].key))

@@ -4,7 +4,10 @@ import pytest
 
 from rwspn import (
     Bag,
+    Net,
     System,
+    Transition,
+    TransitionTag,
     apply_assignment,
     brute_force_normal,
     build_npl_sys,
@@ -16,6 +19,7 @@ from rwspn import (
     npl_net,
     place,
     random_admissible_assignment,
+    repl_share,
     sibling_groups,
     system_order,
 )
@@ -155,52 +159,69 @@ def test_empty_marking_normalizes_to_empty():
     assert normalize_marking(net, Bag()) == Bag()
 
 
-def test_sorted_tier_alone_reproduces_loader_example(monkeypatch):
-    # disable the exact-enumeration tier: the content sort must still pick
-    # the same representative on reachable-style markings
-    import rwspn.canon as canon
-
-    monkeypatch.setattr(canon, "REFINE_BOUND", 0)
-    s = build_npl_sys(2, 2, 1)
-    m1 = fire(loader_of(s.net, 1), s.marking)
-    expected = Bag(
-        {
-            place(("o", 0), ("PL", 0)): 1,
-            place(("o", 0), ("PL", 1)): 1,
-            place(("w", 0), ("L", 0), ("PL", 0)): 1,
-            place(("w", 0), ("L", 1), ("PL", 0)): 1,
-        }
-    )
-    assert normalize_marking(s.net, m1) == expected
-    assert normalize(System(s.net, m1)).marking == expected
+def test_matches_brute_force_on_larger_nets():
+    # three replicas, or three branches per replica: more admissible
+    # assignments than a small enumeration covers
+    rng = random.Random(43)
+    for net in (npl_net(3, 2), npl_net(2, 3)):
+        for _ in range(100):
+            s = System(net, random_marking(net, rng))
+            assert normalize(s) == brute_force_normal(s)
 
 
-def test_sorted_tier_matches_oracle_on_reachable_states(monkeypatch):
-    import rwspn.canon as canon
-
-    from rwspn import explore, production_rules
-
-    ts = explore(build_npl_sys(2, 2, 1), production_rules(), mode="ordinary")
-    monkeypatch.setattr(canon, "REFINE_BOUND", 0)
-    for s in ts.states:
-        assert normalize(s) == brute_force_normal(s)
-
-
-def test_permutation_invariance_beyond_refine_bound():
-    # three replicas exceed the enumeration tier; the sorted representative
-    # must still be one fixed state per class
+def test_permutation_invariance_three_replicas():
     rng = random.Random(37)
     net = npl_net(3, 2)
-    from rwspn.canon import _assignment_count, REFINE_BOUND
-
-    assert _assignment_count(net, 10**6) > REFINE_BOUND
     for _ in range(60):
         s = System(net, random_marking(net, rng))
         base = normalize(s)
+        assert base == brute_force_normal(s)
         assert normalize(base) == base
         for _ in range(5):
             phi = random_admissible_assignment(s, rng)
             assert normalize(apply_assignment(s, phi)) == base
+
+
+def _move(src, dst, rate=1.0):
+    return Transition(Bag({src: 1}), Bag({dst: 1}), Bag(), TransitionTag("t", 0, rate))
+
+
+def test_distinct_sibling_subnets_counterexample():
+    # four "X" siblings differ only in rate, so no permutation fixes the
+    # net; swapping X1 and X2 gives an equivalent system with a different net
+    net = Net(
+        _move(place(("a", 0), ("X", i)), place(("b", 0), ("X", i)), rate=i + 1)
+        for i in range(4)
+    )
+    s = System(net, Bag({place(("a", 0), ("X", 0)): 1}))
+    swapped = apply_assignment(s, {((), "X"): {0: 0, 1: 2, 2: 1, 3: 3}})
+    assert swapped.net != s.net
+    assert normalize(swapped) == normalize(s) == brute_force_normal(s)
+
+
+def test_ring_matches_brute_force():
+    # X0 -> X1 -> X2 -> X0: only the rotations map the net to itself
+    net = Net(
+        _move(place(("p", 0), ("X", i)), place(("p", 0), ("X", (i + 1) % 3)))
+        for i in range(3)
+    )
+    rng = random.Random(47)
+    for _ in range(200):
+        s = System(net, random_marking(net, rng, max_count=12))
+        assert normalize(s) == brute_force_normal(s)
+
+
+def test_mixed_depth_matches_brute_force():
+    # tag "T" labels both the outermost level and the level inside it, and
+    # a(T i) sorts between a(T 0 T i) and a(T 1 T i), so the rows of the
+    # outer "T" group are not contiguous and its columns cannot be sorted
+    inner = repl_share(Net([_move(place(("a", 0)), place(("b", 0)))]), 2, "T")
+    body = Net(inner.transitions + (_move(place(("a", 0)), place(("b", 0))),))
+    net = repl_share(body, 3, "T")
+    rng = random.Random(53)
+    for _ in range(200):
+        s = System(net, random_marking(net, rng))
+        assert normalize(s) == brute_force_normal(s)
 
 
 def test_gapped_indices_densify_consistently():
