@@ -60,10 +60,6 @@ class Bag:
         """Total multiplicity (cardinality)."""
         return sum(self._entries.values())
 
-    @property
-    def sort_key(self) -> tuple:
-        return self.items()
-
     def __getitem__(self, elem) -> int:
         return self._entries.get(elem, 0)
 
@@ -129,10 +125,10 @@ class Bag:
             data.pop(elem, None)
         return _raw(data)
 
-    def render(self, empty: str = "nilP") -> str:
+    def render(self) -> str:
         """Weighted-sum text form, e.g. ``2 . p(< "s" ; 0 >) + 1 . p(< "w" ; 0 >)``."""
         if not self._entries:
-            return empty
+            return "nilP"
         if self._render is None:
             self._render = " + ".join(f"{c} . {e}" for e, c in self.items())
         return self._render

@@ -90,7 +90,6 @@ class _NetForm(NamedTuple):
     cells: dict  # place of a column-sorted group -> (tag, row, column)
 
 
-# Keyed by net value: rewrites rebuild equal nets as new objects.
 _FORMS: dict[Net, _NetForm] = {}
 
 
@@ -104,7 +103,7 @@ def _arrangements(groups):
 
 def _swap_fixes(net: Net, key: GroupKey, i: int, k: int) -> bool:
     swap = {j: j for j in range(k)} | {i: i + 1, i + 1: i}
-    return apply_assignment(System(net), {key: swap}).net == net
+    return apply_assignment(System(net), {key: swap}).net is net
 
 
 def _net_form(net: Net) -> _NetForm:
@@ -145,14 +144,8 @@ def _net_form(net: Net) -> _NetForm:
             image = apply_assignment(System(dense), assignment).net
             if best is None or image.render() < best.render():
                 best, kept = image, []
-            if image == best:
+            if image is best:
                 kept.append(assignment)
-    # one object per canonical net: lookups by a state's net then succeed
-    # on identity instead of comparing transitions
-    if best == net:
-        best = net
-    elif best in _FORMS:
-        best = _FORMS[best].net
     relabelings = tuple(
         {pl: _rewrite_place(_rewrite_place(pl, densify), a) for pl in net.places()} for a in kept
     )

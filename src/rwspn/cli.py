@@ -51,13 +51,7 @@ def cmd_explore(args) -> int:
     system = build_npl_sys(args.n, args.k, args.m)
     started = time.perf_counter()
     try:
-        ts = explore(
-            system,
-            _rules_for(args),
-            mode=args.mode,
-            max_states=args.budget,
-            workers=args.workers,
-        )
+        ts = explore(system, _rules_for(args), mode=args.mode, max_states=args.budget)
     except BudgetExceededError as exc:
         print(f"states>{exc.budget} final=? elapsed={time.perf_counter() - started:.2f}")
         print(f"error: {exc}", file=sys.stderr)
@@ -78,7 +72,7 @@ def cmd_explore(args) -> int:
 
 def cmd_solve(args) -> int:
     system = build_npl_sys(args.n, args.k, args.m)
-    ts = explore(system, _rules_for(args), mode="quotient", max_states=args.budget, workers=args.workers)
+    ts = explore(system, _rules_for(args), mode="quotient", max_states=args.budget)
     gen = build_generator(ts)
     series = measure_series(ts, gen, _parse_grid(args.grid), eps=args.eps)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -104,8 +98,8 @@ def _perturbed(gen: Generator, partition) -> Generator:
 def cmd_verify(args) -> int:
     rules = _rules_for(args)
     system = build_npl_sys(args.n, args.k, args.m)
-    quotient = explore(system, rules, mode="quotient", workers=args.workers)
-    ordinary = explore(system, rules, mode="ordinary", workers=args.workers)
+    quotient = explore(system, rules, mode="quotient")
+    ordinary = explore(system, rules, mode="ordinary")
     failures = 0
 
     bad = [s for s in quotient.states if brute_force_normal(s) != s or normalize(s) != s]
@@ -163,7 +157,6 @@ def main(argv=None) -> int:
     _model_args(p)
     p.add_argument("--mode", choices=("quotient", "ordinary"), default="quotient")
     p.add_argument("--budget", type=int, default=None, help="state budget")
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--verify-symmetry", action="store_true",
                    help="cross-check every state against the brute-force normalizer")
     p.set_defaults(func=cmd_explore)
@@ -173,12 +166,10 @@ def main(argv=None) -> int:
     p.add_argument("--eps", type=float, default=1e-9, help="transient solver accuracy")
     p.add_argument("--grid", default="1:10000:60", help="log-spaced grid START:STOP:POINTS")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="normalizer oracle and lumping checks")
     _model_args(p)
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--perturb", action="store_true",
                    help="flip one rate; lumpability must then fail")
     p.set_defaults(func=cmd_verify)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -35,10 +36,11 @@ class Place:
 
     The label is a non-empty sequence of (tag, index) pairs read left to
     right from innermost to outermost; the last pair is the root of the
-    component hierarchy.  Instances are interned, one per label.
+    component hierarchy.  Instances are interned, one per label, so places
+    compare and hash by identity.
     """
 
-    __slots__ = ("pairs", "_str", "_hash", "_memb")
+    __slots__ = ("pairs", "_str", "_memb")
 
     _pool: dict = {}
 
@@ -53,7 +55,6 @@ class Place:
         self = object.__new__(cls)
         self.pairs = pairs
         self._str = None
-        self._hash = hash(pairs)
         self._memb = None
         return cls._pool.setdefault(pairs, self)
 
@@ -79,12 +80,6 @@ class Place:
 
     def __le__(self, other: "Place") -> bool:
         return self.pairs <= other.pairs
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Place) and self.pairs == other.pairs)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         if self._str is None:
@@ -130,37 +125,36 @@ class TransitionTag:
 
 
 class Transition:
-    """A transition given by its input/output/inhibitor incidence bags."""
+    """A transition given by its input/output/inhibitor incidence bags.
 
-    __slots__ = ("input", "output", "inhibitor", "tag", "_key", "_str", "_hash", "_places")
+    Instances are interned, one per sort key, so transitions compare and
+    hash by identity.
+    """
 
-    def __init__(self, input: Bag, output: Bag, inhibitor: Bag = Bag(), tag: TransitionTag = None):
+    __slots__ = ("input", "output", "inhibitor", "tag", "sort_key", "_str", "_places")
+
+    _pool: dict = {}
+
+    def __new__(cls, input: Bag, output: Bag, inhibitor: Bag = Bag(), tag: TransitionTag = None):
         if tag is None:
             raise ValueError("transition needs a tag")
+        key = ((tag.tag, tag.priority, tag.rate), input.items(), output.items(), inhibitor.items())
+        cached = cls._pool.get(key)
+        if cached is not None:
+            return cached
         for bag in (input, output, inhibitor):
             for elem in bag.elements():
                 if not isinstance(elem, Place):
                     raise TypeError(f"incidence bags must contain places, got {elem!r}")
+        self = object.__new__(cls)
         self.input = input
         self.output = output
         self.inhibitor = inhibitor
         self.tag = tag
-        self._key = None
+        self.sort_key = key
         self._str = None
-        self._hash = None
         self._places = None
-
-    @property
-    def sort_key(self) -> tuple:
-        if self._key is None:
-            t = self.tag
-            self._key = (
-                (t.tag, t.priority, t.rate),
-                self.input.sort_key,
-                self.output.sort_key,
-                self.inhibitor.sort_key,
-            )
-        return self._key
+        return cls._pool.setdefault(key, self)
 
     @property
     def places(self) -> tuple[Place, ...]:
@@ -173,14 +167,6 @@ class Transition:
 
     def __lt__(self, other: "Transition") -> bool:
         return self.sort_key < other.sort_key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Transition) and self.sort_key == other.sort_key
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.sort_key)
-        return self._hash
 
     def render(self) -> str:
         if self._str is None:
@@ -202,19 +188,29 @@ class Net:
 
     Duplicate transitions are kept and each instance contributes separately
     to enabling and rate aggregation.  Iteration order is sorted, hence
-    deterministic.
+    deterministic.  Instances are interned, one per transition multiset, so
+    nets compare and hash by identity.  The pool holds nets weakly: an
+    image net built per candidate relabeling is freed once unused, where
+    a strong pool would keep up to one per sibling permutation.
     """
 
-    __slots__ = ("transitions", "_places", "_place_set", "_str", "_hash", "_groups", "_cache")
+    __slots__ = ("transitions", "_places", "_place_set", "_str", "_groups", "_cache", "__weakref__")
 
-    def __init__(self, transitions: Iterable[Transition] = ()):
-        self.transitions = tuple(sorted(transitions, key=lambda t: t.sort_key))
+    _pool: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __new__(cls, transitions: Iterable[Transition] = ()):
+        transitions = tuple(sorted(transitions, key=lambda t: t.sort_key))
+        cached = cls._pool.get(transitions)
+        if cached is not None:
+            return cached
+        self = object.__new__(cls)
+        self.transitions = transitions
         self._places = None
         self._place_set = None
         self._str = None
-        self._hash = None
         self._groups = None
         self._cache = {}
+        return cls._pool.setdefault(transitions, self)
 
     def places(self) -> tuple[Place, ...]:
         if self._places is None:
@@ -238,14 +234,6 @@ class Net:
 
     def __len__(self) -> int:
         return len(self.transitions)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Net) and self.transitions == other.transitions
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.transitions)
-        return self._hash
 
     def render(self) -> str:
         if self._str is None:
@@ -291,7 +279,7 @@ class System:
         return self.net.pretty() + "\n\n" + self.marking.render()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, System) and self.net == other.net and self.marking == other.marking
+        return isinstance(other, System) and self.net is other.net and self.marking == other.marking
 
     def __lt__(self, other: "System") -> bool:
         return self.key < other.key

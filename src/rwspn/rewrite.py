@@ -39,7 +39,6 @@ class RewriteRule:
     rate: float
     matcher: Callable[[System], Sequence[Match]]
     applier: Callable[[System, Match], System]
-    priority: int = 0
     normalize_result: bool = False
 
     def __post_init__(self):

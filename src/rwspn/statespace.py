@@ -79,15 +79,11 @@ def _quotient_successors(rules: Sequence[RewriteRule]):
     def successors(state: System) -> list[tuple[System, str, float]]:
         aug = to_augmented(state, rules)
         out = []
-        for marking in sorted(aug.firing_targets, key=lambda b: b.sort_key):
-            per_tag = aug.firing_targets[marking]
+        for marking, per_tag in aug.firing_targets.items():
             target = System(state.net, marking)
-            for label in sorted(per_tag):
-                out.append((target, label, per_tag[label]))
-        for target in sorted(aug.rewrite_targets, key=lambda s: s.key):
-            per_rule = aug.rewrite_targets[target]
-            for label in sorted(per_rule):
-                out.append((target, label, per_rule[label]))
+            out.extend((target, label, rate) for label, rate in per_tag.items())
+        for target, per_rule in aug.rewrite_targets.items():
+            out.extend((target, label, rate) for label, rate in per_rule.items())
         return out
 
     return successors
@@ -122,7 +118,6 @@ def explore(
     rules: Sequence[RewriteRule] = (),
     mode: str = "quotient",
     max_states: int | None = None,
-    workers: int = 1,
 ) -> TransitionSystem:
     """Fixed-point BFS of the transition system generated by ``initial``.
 
@@ -130,9 +125,7 @@ def explore(
     Ordinary mode stores states verbatim, one edge per firing instance or
     rule match (parallel same-label edges merge, rates summed); rules whose
     right-hand side normalizes still do so, since that is part of the rule.
-    Exploration is single-threaded; ``workers`` is accepted for
-    compatibility and has no effect.  ``max_states`` is checked as each
-    state is added.
+    ``max_states`` is checked as each state is added.
     """
     if mode == "quotient":
         start = normalize(initial)

@@ -2,12 +2,17 @@
 
 import filecmp
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwspn
 from rwspn import (
     Generator,
     absorbing_predicate,
@@ -29,7 +34,6 @@ from rwspn import (
     to_augmented,
     transient,
 )
-from rwspn.cli import main as cli_main
 
 import ftps_reference
 from conftest import ordinary_ts, quotient_ts, random_marking
@@ -265,15 +269,21 @@ def test_criterion_7_asymptote_cross_check():
 
 
 def test_criterion_8_determinism(tmp_path):
+    # places, transitions and nets hash by identity and strings by a per-process
+    # seed, so two processes see different set orders; exports must not
+    src = str(Path(rwspn.__file__).parent.parent)
     for mode in ("quotient", "ordinary"):
         outs = []
-        for workers in ("1", "8"):
-            out = tmp_path / f"{mode}-{workers}"
-            rc = cli_main(
-                ["explore", "--n", "2", "--mode", mode, "--workers", workers, "--out", str(out)]
+        for seed in ("0", "1"):
+            out = tmp_path / f"{mode}-{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            subprocess.run(
+                [sys.executable, "-m", "rwspn.cli", "explore", "--n", "2", "--mode", mode,
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=600,
             )
-            assert rc == 0
             outs.append(out)
         for name in ("states.txt", "edges.txt", "generator.coo"):
             assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), (mode, name)
-    print("criterion 8 (determinism): PASS byte-identical exports for 1 and 8 workers")
+    print("criterion 8 (determinism): PASS byte-identical exports under hash seeds 0 and 1")

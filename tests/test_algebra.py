@@ -50,7 +50,7 @@ def test_pl2_faults_replicated_with_shared_trigger():
     fts = by_tag(net, "ft")
     assert len(fts) == 2
     assert all(t.input == Bag({O: 1}) for t in fts)
-    assert sorted((t.output for t in fts), key=lambda b: b.sort_key) == [
+    assert sorted((t.output for t in fts), key=lambda b: b.items()) == [
         Bag({place(("f", 0), ("L", 0)): 1}),
         Bag({place(("f", 0), ("L", 1)): 1}),
     ]

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -209,6 +210,24 @@ def test_ring_matches_brute_force():
     for _ in range(200):
         s = System(net, random_marking(net, rng, max_count=12))
         assert normalize(s) == brute_force_normal(s)
+
+
+def test_net_pool_frees_candidate_images():
+    # brute_force_normal builds one image net per assignment: 6! = 720 on a
+    # 6-sibling ring, 120 of them distinct; the weak pool must not keep them
+    net = Net(
+        _move(place(("p", 0), ("X", i)), place(("p", 0), ("X", (i + 1) % 6)))
+        for i in range(6)
+    )
+    s = System(net, Bag({place(("p", 0), ("X", 3)): 1}))
+
+    def live_nets():
+        gc.collect()
+        return sum(isinstance(o, Net) for o in gc.get_objects())
+
+    before = live_nets()
+    assert brute_force_normal(s).marking == Bag({place(("p", 0), ("X", 0)): 1})
+    assert live_nets() - before <= 2
 
 
 def test_mixed_depth_matches_brute_force():

@@ -9,6 +9,7 @@ from rwspn import (
     System,
     Transition,
     TransitionTag,
+    apply_assignment,
     build_npl_sys,
     dead,
     enab_set,
@@ -16,6 +17,7 @@ from rwspn import (
     enabled_instances,
     fire,
     has_concession,
+    pl_net,
     place,
 )
 
@@ -147,6 +149,18 @@ def test_place_order_and_interning():
     assert a is b
     assert place(("a", 0)) < place(("o", 0)) < place(("w", 0))
     assert place(("w", 0)) < place(("w", 0), ("L", 1))
+    # transitions and nets are interned too: equal values are one object
+    line = Transition(Bag({W0: 1}), Bag({A0: 1}), Bag({F0: 1}), TransitionTag("ln", 0, 0.1))
+    assert line is LINE
+    back = Transition(Bag({A0: 1}), Bag({W0: 1}), Bag(), TransitionTag("back"))
+    assert Net((back, LINE, LINE)) is Net((LINE, back, LINE))
+    assert Net((LINE,)) is not Net((LINE, LINE))
+    # swapping the two lines maps the symmetric net onto itself
+    net = pl_net(2)
+    s = System(net, Bag({place(("w", 0), ("L", 0)): 1}))
+    swapped = apply_assignment(s, {((), "L"): {0: 1, 1: 0}})
+    assert swapped.marking == Bag({place(("w", 0), ("L", 1)): 1})
+    assert swapped.net is net
 
 
 def test_tag_validation():

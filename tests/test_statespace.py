@@ -1,5 +1,3 @@
-import filecmp
-
 import pytest
 
 from rwspn import (
@@ -9,7 +7,6 @@ from rwspn import (
     System,
     Transition,
     TransitionTag,
-    build_generator,
     build_npl_sys,
     explore,
     normalize,
@@ -103,21 +100,6 @@ def test_final_classes_are_normalize_image_of_ordinary_finals():
         part = quotient_partition(ordinary, quotient)
         image = {part[i] for i in ordinary.final_states()}
         assert image == set(quotient.final_states())
-
-
-def test_worker_count_does_not_change_output(tmp_path):
-    for mode in ("quotient", "ordinary"):
-        runs = []
-        for workers in (1, 4):
-            ts = explore(build_npl_sys(1, 2, 2), production_rules(), mode=mode, workers=workers)
-            out = tmp_path / f"{mode}-{workers}"
-            out.mkdir()
-            ts.write_states(out / "states.txt")
-            ts.write_edges(out / "edges.txt")
-            build_generator(ts).write_coo(out / "generator.coo")
-            runs.append(out)
-        for name in ("states.txt", "edges.txt", "generator.coo"):
-            assert filecmp.cmp(runs[0] / name, runs[1] / name, shallow=False)
 
 
 def test_exports_roundtrip_shape(tmp_path):
