@@ -78,7 +78,8 @@ def cmd_solve(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     gen.write_coo(args.out / "generator.coo")
     series.write_csv(args.out / "measures.csv")
-    print(f"states={len(ts)} grid={len(series.times)} wrote {args.out / 'measures.csv'}")
+    print(f"states={len(ts)} grid={len(series.times)} mass_defect={series.max_mass_defect:.1e}"
+          f" wrote {args.out / 'measures.csv'}")
     return 0
 
 

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .statespace import TransitionSystem
 
@@ -48,6 +48,7 @@ class Generator:
         self.offdiag = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         self.diagonal = -np.asarray(self.offdiag.sum(axis=1)).ravel()
         self.matrix = (self.offdiag + sp.diags(self.diagonal)).tocsr()
+        self._live = self.diagonal != 0  # states with a nonzero exit rate
         self._uniformized = None
 
     @property
@@ -145,6 +146,37 @@ def lump_generator(gen: Generator, partition: Sequence[int], tol: float = 1e-9) 
     return Generator(len(classes), acc)
 
 
+# share of the truncation budget ``eps`` given to the left Poisson tail
+_LEFT_SHARE = 1e-3
+
+
+def _poisson_window(mu: float, eps: float) -> tuple[int, int]:
+    """Fox–Glynn truncation window ``(left, right)`` of Poisson(mu).
+
+    ``left`` is the largest point whose left tail P(K < left) is at most
+    ``_LEFT_SHARE * eps``; ``right`` is the smallest point whose right tail
+    P(K > right) is below ``eps`` minus that left tail.  So less than ``eps``
+    of Poisson mass lies outside ``left..right``.
+    """
+    left_eps = _LEFT_SHARE * eps
+    left = int(pdtrik(left_eps, mu))
+    while left > 0 and pdtr(left - 1, mu) > left_eps:
+        left -= 1
+    while pdtr(left, mu) <= left_eps:
+        left += 1
+    budget = eps - (pdtr(left - 1, mu) if left else 0.0)
+    right = max(left, int(np.ceil(pdtrik(1.0 - eps, mu))))
+    while right > left and pdtrc(right - 1, mu) < budget:
+        right -= 1
+    while pdtrc(right, mu) >= budget:
+        right += 1
+    return left, right
+
+
+def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+
 def transient(
     gen: Generator,
     pi0: Sequence[float],
@@ -155,9 +187,20 @@ def transient(
 ) -> np.ndarray:
     """Transient distribution pi0 * exp(Q t) by uniformization.
 
-    The Poisson series is truncated once the neglected mass is below ``eps``,
-    which bounds the total-variation error by ``eps``; the result is
-    renormalized.
+    With P = I + Q / Λ, Λ = 1.02 × the largest exit rate and mu = Λt, the
+    result is the sum of Poisson(mu)[k] · pi0 P^k over the Fox–Glynn window
+    ``left..right`` of ``_poisson_window``.  Less than ``eps`` of Poisson mass
+    lies outside the window, which bounds the truncation error in L1 by
+    ``eps``; the result is then clipped to nonnegative and renormalized.  The mat-vecs below
+    ``left`` still run, but add nothing to the sum.  ``details`` receives
+    ``raw_mass`` (before renormalization) and ``terms``, the number of
+    mat-vecs plus one.
+
+    Absorbed-mass shortcut: if the mass m of pi0 on states with a nonzero
+    exit rate is at most eps/2, pi0 is returned unchanged, with ``terms`` 0.
+    The absorbing states gain some g <= m, and the rest, of mass m before
+    and m - g after, moves by at most 2m - g, so the L1 error is at most
+    2m <= eps.  A chain without absorbing states never takes the shortcut.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -166,37 +209,38 @@ def transient(
     pi = np.array(pi0, dtype=np.float64)
     if pi.shape != (gen.n,):
         raise ValueError(f"pi0 must have length {gen.n}")
-    lam = 1.02 * gen.max_exit_rate
-    if t == 0 or lam == 0:
+    if t == 0 or pi[gen._live].sum() <= eps / 2:
         if details is not None:
             details.update(raw_mass=float(pi.sum()), terms=0)
         return pi
+    lam = 1.02 * gen.max_exit_rate
     mu = lam * t
-    kmax = int(poisson.ppf(1.0 - eps, mu))
-    while poisson.sf(kmax, mu) >= eps:
-        kmax += 1
-    if kmax + 1 > max_terms:
+    left, right = _poisson_window(mu, eps)
+    if right + 1 > max_terms:
         raise TransientBudgetError(
-            f"{kmax + 1} uniformization terms needed, budget is {max_terms}"
+            f"{right + 1} uniformization terms needed, budget is {max_terms}"
         )
     if gen._uniformized is None:
         gen._uniformized = (sp.eye(gen.n, format="csr") + gen.matrix / lam).T.tocsr()
     pt = gen._uniformized
-    weights = poisson.pmf(np.arange(kmax + 1), mu)
-    vec = pi.copy()
-    acc = weights[0] * vec
-    for k in range(1, kmax + 1):
+    weights = _poisson_pmf(np.arange(left, right + 1), mu).tolist()
+    vec = pi
+    for _ in range(left):
         vec = pt @ vec
-        acc += weights[k] * vec
+    acc = weights[0] * vec
+    for w in weights[1:]:
+        vec = pt @ vec
+        acc += w * vec
     raw_mass = float(acc.sum())
     if details is not None:
-        details.update(raw_mass=raw_mass, terms=kmax + 1)
+        details.update(raw_mass=raw_mass, terms=right + 1)
     np.clip(acc, 0.0, None, out=acc)
     return acc / acc.sum()
 
 
-def throughput(ts: TransitionSystem, pi: Sequence[float], tag: str) -> float:
-    """Expected firing rate of edges labeled ``tag`` under distribution pi."""
+def _tag_rates(ts: TransitionSystem, tag: str) -> np.ndarray:
+    """Total rate of the edges labeled ``tag`` leaving each state; warns
+    when no edge carries ``tag``."""
     rates = np.zeros(len(ts.states))
     found = False
     for src, _dst, label, rate in ts.edges:
@@ -204,9 +248,13 @@ def throughput(ts: TransitionSystem, pi: Sequence[float], tag: str) -> float:
             rates[src] += rate
             found = True
     if not found:
-        warnings.warn(f"no edge labeled {tag!r}; throughput is 0", stacklevel=2)
-        return 0.0
-    return float(np.dot(np.asarray(pi), rates))
+        warnings.warn(f"no edge labeled {tag!r}; throughput is 0", stacklevel=3)
+    return rates
+
+
+def throughput(ts: TransitionSystem, pi: Sequence[float], tag: str) -> float:
+    """Expected firing rate of edges labeled ``tag`` under distribution pi."""
+    return float(np.dot(np.asarray(pi), _tag_rates(ts, tag)))
 
 
 def reliability(ts: TransitionSystem, pi: Sequence[float]) -> float:
@@ -217,12 +265,17 @@ def reliability(ts: TransitionSystem, pi: Sequence[float]) -> float:
 
 @dataclass
 class MeasureSeries:
-    """Per-time throughput X(t), reliability R(t), and conditional X/R."""
+    """Per-time throughput X(t), reliability R(t), and conditional X/R.
+
+    ``max_mass_defect`` is the worst |raw mass - 1| of the transient steps
+    before renormalization; it is reported, not written to the CSV.
+    """
 
     times: list[float]
     throughput: list[float]
     reliability: list[float]
     conditional: list[float | None]
+    max_mass_defect: float = 0.0
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -247,21 +300,23 @@ def measure_series(
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("grid must be strictly increasing and start at t >= 0")
-    rates = np.zeros(len(ts.states))
-    for src, _dst, label, rate in ts.edges:
-        if label == tag:
-            rates[src] += rate
+    rates = _tag_rates(ts, tag)
     finals = list(ts.final_states())
     pi = np.zeros(len(ts.states))
     pi[0] = 1.0
     prev = 0.0
+    worst = 0.0
     xs, rs, cs = [], [], []
     for t in grid:
-        pi = transient(gen, pi, t - prev, eps)
+        details: dict = {}
+        pi = transient(gen, pi, t - prev, eps, details=details)
+        worst = max(worst, abs(details["raw_mass"] - 1.0))
         prev = t
         x = float(np.dot(pi, rates))
         r = float(1.0 - pi[finals].sum()) if finals else 1.0
         xs.append(x)
         rs.append(r)
         cs.append(x / r if r >= 1e-12 else None)
-    return MeasureSeries(times=grid, throughput=xs, reliability=rs, conditional=cs)
+    return MeasureSeries(
+        times=grid, throughput=xs, reliability=rs, conditional=cs, max_mass_defect=worst
+    )

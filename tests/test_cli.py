@@ -45,6 +45,9 @@ def test_verify_perturbed_fails(capsys):
 def test_solve_writes_measures(tmp_path, capsys):
     out = tmp_path / "s"
     assert main(["solve", "--n", "1", "--grid", "1:1000:12", "--out", str(out)]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split() if "=" in f)
+    assert fields["states"] == "42" and fields["grid"] == "12"
+    assert 0 <= float(fields["mass_defect"]) < 1e-6
     csv = (out / "measures.csv").read_text().splitlines()
     assert csv[0] == "t,throughput,reliability,conditional"
     assert len(csv) == 13

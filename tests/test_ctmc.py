@@ -1,7 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
+
+import rwspn
 
 from rwspn import (
     Generator,
@@ -17,6 +25,7 @@ from rwspn import (
     throughput,
     transient,
 )
+from rwspn.ctmc import _LEFT_SHARE, _poisson_pmf, _poisson_window
 from rwspn.statespace import TransitionSystem
 
 from conftest import ordinary_ts, quotient_ts
@@ -118,8 +127,62 @@ def test_transient_mass_conservation():
 
 def test_transient_cycle_converges_to_uniform():
     gen = Generator(3, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
-    pi = transient(gen, np.array([1.0, 0.0, 0.0]), 500.0, eps=1e-12)
+    details = {}
+    pi = transient(gen, np.array([1.0, 0.0, 0.0]), 500.0, eps=1e-12, details=details)
     assert np.allclose(pi, 1 / 3, atol=1e-9)
+    # no absorbing state, so the absorbed-mass shortcut never applies
+    assert details["terms"] > 0
+
+
+def test_transient_absorbed_mass_shortcut():
+    lam, eps = 0.1, 1e-10
+    gen = two_state_chain(lam)
+    # after t = 300 the mass left on the live state is e^-30 <= eps/2
+    pi = transient(gen, np.array([1.0, 0.0]), 300.0, eps=eps)
+    assert pi[0] <= eps / 2
+    details = {}
+    pi = transient(gen, pi, 100.0, eps=eps, details=details)
+    assert details["terms"] == 0
+    assert abs(pi[1] - (1.0 - math.exp(-lam * 400.0))) <= eps
+    # just above eps/2 the series runs
+    details = {}
+    pi = transient(gen, np.array([eps, 1.0 - eps]), 100.0, eps=eps, details=details)
+    assert details["terms"] > 0
+    assert abs(pi[0] - eps * math.exp(-lam * 100.0)) <= eps
+
+
+MU_SWEEP = np.geomspace(0.5, 48_000, 200)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_poisson_window_matches_scipy_stats(eps):
+    for mu in MU_SWEEP:
+        left, right = _poisson_window(mu, eps)
+        k = np.arange(left, right + 1)
+        assert np.array_equal(_poisson_pmf(k, mu), poisson.pmf(k, mu)), mu
+        # left is the largest point with P(K < left) <= share * eps
+        left_mass = poisson.cdf(left - 1, mu)
+        assert left_mass <= _LEFT_SHARE * eps < poisson.cdf(left, mu), mu
+        # right is the smallest point whose right tail fits what is left of eps
+        budget = eps - left_mass
+        assert poisson.sf(right, mu) < budget <= poisson.sf(right - 1, mu), mu
+        # so the window leaves out less than eps of Poisson mass
+        assert left_mass + poisson.sf(right, mu) < eps, mu
+        # and right is the untruncated series' kmax, or one more
+        kmax = int(poisson.ppf(1.0 - eps, mu))
+        while poisson.sf(kmax, mu) >= eps:
+            kmax += 1
+        assert right in (kmax, kmax + 1), mu
+
+
+def test_import_leaves_out_scipy_stats():
+    src = str(Path(rwspn.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import rwspn, sys; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 def test_transient_budget():
@@ -158,6 +221,34 @@ def test_reliability_bounds():
     absorbed = np.zeros(len(ts))
     absorbed[ts.final_states()[0]] = 1.0
     assert reliability(ts, absorbed) == pytest.approx(0.0)
+
+
+def test_measure_series_warns_on_missing_tag():
+    ts = quotient_ts(1)
+    gen = build_generator(ts)
+    with pytest.warns(UserWarning, match="nosuchtag"):
+        series = measure_series(ts, gen, [1.0, 10.0], tag="nosuchtag")
+    assert series.throughput == [0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        measure_series(ts, gen, [1.0, 10.0], tag="as")
+
+
+def test_measure_series_reports_mass_defect():
+    ts = quotient_ts(1)
+    gen = build_generator(ts)
+    grid = [1.0, 10.0, 100.0]
+    series = measure_series(ts, gen, grid, eps=1e-9)
+    pi = np.zeros(len(ts))
+    pi[0] = 1.0
+    worst, prev = 0.0, 0.0
+    for t in grid:
+        details = {}
+        pi = transient(gen, pi, t - prev, eps=1e-9, details=details)
+        prev = t
+        worst = max(worst, abs(details["raw_mass"] - 1.0))
+    assert series.max_mass_defect == worst
+    assert worst <= 1e-9
 
 
 def test_measure_series_shape_and_grid_validation():
