@@ -140,6 +140,13 @@ class Bag:
         return f"Bag({dict(self.items())!r})"
 
 
+def _from_items(items: tuple) -> Bag:
+    """Bag from entries already in element order, with positive counts."""
+    bag = _raw(dict(items))
+    bag._items = items
+    return bag
+
+
 def _raw(data: dict) -> Bag:
     bag = Bag.__new__(Bag)
     bag._entries = data

@@ -86,11 +86,15 @@ class _NetForm(NamedTuple):
     """What normalization needs to know about one raw net."""
 
     net: Net  # the canonical net
-    relabelings: tuple  # place maps from the raw net onto ``net``, one per candidate
-    cells: dict  # place of a column-sorted group -> (tag, row, column)
+    # per candidate: the raw-net place index that lands on each canonical
+    # place index, so a raw vector's image is ``[vec[i] for i in perm]``
+    perms: tuple
+    # per column-sorted group: place indices per column (group index), by row
+    columns: tuple
 
 
 _FORMS: dict[Net, _NetForm] = {}
+_END = ((math.inf,),)  # past every row: a column with no more cells is absent there
 
 
 def _arrangements(groups):
@@ -146,65 +150,72 @@ def _net_form(net: Net) -> _NetForm:
                 best, kept = image, []
             if image is best:
                 kept.append(assignment)
-    relabelings = tuple(
-        {pl: _rewrite_place(_rewrite_place(pl, densify), a) for pl in net.places()} for a in kept
-    )
-    cells, rows = {}, {}
-    for pl in best.places():  # in place order, so rows are ranked in rendering order
+    index = best.compiled().index
+    perms = []
+    for a in kept:
+        perm = [0] * len(index)
+        for i, pl in enumerate(net.places()):
+            perm[index[_rewrite_place(_rewrite_place(pl, densify), a)]] = i
+        perms.append(tuple(perm))
+    # rows of a sorted group in place order, so they rank in rendering order
+    rows: dict = {}
+    for pl in best.places():
         tag, i = pl.pairs[-1]
         if tag in sortable:
-            cells[pl] = (tag, rows.setdefault((tag, pl.pairs[:-1]), len(rows)), i)
-    form = _FORMS[net] = _NetForm(best, relabelings, cells)
+            rows.setdefault(tag, {}).setdefault(pl.pairs[:-1], {})[i] = index[pl]
+    columns = []
+    for by_row in rows.values():  # symmetric, so every row has every index
+        k = len(next(iter(by_row.values())))
+        columns.append(tuple(tuple(cells[i] for cells in by_row.values()) for i in range(k)))
+    form = _FORMS[net] = _NetForm(best, tuple(dict.fromkeys(perms)), tuple(columns))
     return form
 
 
-def _sort_columns(entries: dict, form: _NetForm) -> dict:
+def _sort_columns(vec: tuple, columns: tuple) -> tuple:
     """Renumber the indices of each column-sorted group by column content.
 
     Columns compare cell by cell, row by row in place order: a present cell
     comes before an absent one, and present cells compare by count as
     decimal strings, which is the byte order of the rendered entries.
     """
-    columns: dict = {}
-    for pl, c in entries.items():
-        cell = form.cells.get(pl)
-        if cell is not None:
-            tag, row, i = cell
-            columns.setdefault(tag, {}).setdefault(i, []).append((row, str(c)))
-    end = (math.inf,)  # past every row: a column with no more cells is absent there
-    renumber = {}
-    for tag, col in columns.items():
-        for column in col.values():
-            column.sort()
-            column.append(end)
-        order = sorted(col, key=col.__getitem__)
-        renumber[tag] = {old: new for new, old in enumerate(order)}
-    out = {}
-    for pl, c in entries.items():
-        cell = form.cells.get(pl)
-        if cell is not None:
-            tag, _row, i = cell
-            pl = Place(pl.pairs[:-1] + ((tag, renumber[tag][i]),))
-        out[pl] = c
-    return out
+    out = list(vec)
+    for group in columns:
+        def content(col: int) -> tuple:
+            return tuple((r, str(vec[j])) for r, j in enumerate(group[col]) if vec[j]) + _END
+
+        order = sorted(range(len(group)), key=content)
+        for new, old in enumerate(order):
+            if new != old:
+                for j_new, j_old in zip(group[new], group[old]):
+                    out[j_new] = vec[j_old]
+    return tuple(out)
 
 
-def _minimal_marking(form: _NetForm, marking: Bag) -> Bag:
-    """The smallest rendering of the marking over the form's candidates."""
-    best = None
+def _minimal(form: _NetForm, vec: tuple) -> tuple:
+    """The candidate image of a raw vector with the smallest rendering."""
+    if len(form.perms) == 1 and not form.columns:
+        return tuple([vec[i] for i in form.perms[0]])
+    render = form.net.compiled().render
+    best = best_text = None
     seen = set()
-    for relabel in form.relabelings:
-        entries = {relabel[pl]: c for pl, c in marking.items()}
-        image = frozenset(entries.items())
+    for perm in form.perms:
+        image = tuple([vec[i] for i in perm])
         if image in seen:
             continue
         seen.add(image)
-        if form.cells:
-            entries = _sort_columns(entries, form)
-        cand = Bag(entries)
-        if best is None or cand.render() < best.render():
-            best = cand
+        if form.columns:
+            image = _sort_columns(image, form.columns)
+        text = render(image)
+        if best is None or text < best_text:
+            best, best_text = image, text
     return best
+
+
+def normalize_vector(net: Net, vec: tuple) -> tuple[Net, tuple]:
+    """``normalize`` on a marking vector over ``net.compiled()``: the
+    canonical net and the normal-form vector over its compiled places."""
+    form = _net_form(net)
+    return form.net, _minimal(form, vec)
 
 
 def normalize(system: System) -> System:
@@ -216,13 +227,14 @@ def normalize(system: System) -> System:
     index strings like numbers only up to 10 siblings; larger groups still
     get one representative per class, which may not be the minimum.
     """
-    form = _net_form(system.net)
-    return System(form.net, _minimal_marking(form, system.marking))
+    net, vec = normalize_vector(system.net, system.net.compiled().encode(system.marking))
+    return System.decoded(net, vec)
 
 
 def normalize_marking(net: Net, marking: Bag) -> Bag:
     """Normal form of a marking over a net already in normal form."""
-    return _minimal_marking(_net_form(net), marking)
+    canon, vec = normalize_vector(net, net.compiled().encode(marking))
+    return canon.compiled().decode(vec)
 
 
 def apply_assignment(system: System, assignment: Assignment) -> System:

@@ -257,10 +257,24 @@ def throughput(ts: TransitionSystem, pi: Sequence[float], tag: str) -> float:
     return float(np.dot(np.asarray(pi), _tag_rates(ts, tag)))
 
 
+def _live_states(ts: TransitionSystem) -> np.ndarray | None:
+    """Mask of the non-final states, or None when no state is final."""
+    finals = list(ts.final_states())
+    if not finals:
+        return None
+    live = np.ones(len(ts.states), dtype=bool)
+    live[finals] = False
+    return live
+
+
 def reliability(ts: TransitionSystem, pi: Sequence[float]) -> float:
-    """Probability of not yet having reached a final (absorbing) state."""
-    pi = np.asarray(pi)
-    return float(1.0 - sum(pi[i] for i in ts.final_states()))
+    """Probability of not yet having reached a final (absorbing) state.
+
+    The non-final mass is summed directly, not as 1 minus the final mass,
+    so it keeps its relative precision however small it gets.
+    """
+    live = _live_states(ts)
+    return 1.0 if live is None else float(np.asarray(pi)[live].sum())
 
 
 @dataclass
@@ -301,7 +315,7 @@ def measure_series(
     if any(b <= a for a, b in zip(grid, grid[1:])) or (grid and grid[0] < 0):
         raise ValueError("grid must be strictly increasing and start at t >= 0")
     rates = _tag_rates(ts, tag)
-    finals = list(ts.final_states())
+    live = _live_states(ts)
     pi = np.zeros(len(ts.states))
     pi[0] = 1.0
     prev = 0.0
@@ -313,7 +327,7 @@ def measure_series(
         worst = max(worst, abs(details["raw_mass"] - 1.0))
         prev = t
         x = float(np.dot(pi, rates))
-        r = float(1.0 - pi[finals].sum()) if finals else 1.0
+        r = 1.0 if live is None else float(pi[live].sum())
         xs.append(x)
         rs.append(r)
         cs.append(x / r if r >= 1e-12 else None)

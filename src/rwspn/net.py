@@ -7,7 +7,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bag import Bag
+from .bag import Bag, _from_items
 
 Pair = tuple[str, int]
 
@@ -194,7 +194,10 @@ class Net:
     a strong pool would keep up to one per sibling permutation.
     """
 
-    __slots__ = ("transitions", "_places", "_place_set", "_str", "_groups", "_cache", "__weakref__")
+    __slots__ = (
+        "transitions", "_places", "_place_set", "_str", "_groups", "_cache", "_compiled",
+        "__weakref__",
+    )
 
     _pool: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -210,6 +213,7 @@ class Net:
         self._str = None
         self._groups = None
         self._cache = {}
+        self._compiled = None
         return cls._pool.setdefault(transitions, self)
 
     def places(self) -> tuple[Place, ...]:
@@ -228,6 +232,12 @@ class Net:
 
     def tags(self) -> frozenset:
         return frozenset(t.tag for t in self.transitions)
+
+    def compiled(self) -> "CompiledNet":
+        """The integer form of the net, built on first use."""
+        if self._compiled is None:
+            self._compiled = CompiledNet(self)
+        return self._compiled
 
     def __iter__(self) -> Iterator[Transition]:
         return iter(self.transitions)
@@ -253,6 +263,76 @@ class Net:
         return f"Net<{len(self.transitions)} transitions>"
 
 
+class CompiledNet:
+    """Integer form of a net: markings are int tuples over its places.
+
+    ``places`` is the net's sorted place tuple, so a vector lists its entries
+    in ``Bag.items()`` order.  ``transitions`` holds, in net order, each
+    transition with its input, inhibitor and output as ``(index, count)``
+    tuples.
+    """
+
+    __slots__ = ("places", "index", "transitions", "_ranked", "_cells")
+
+    def __init__(self, net: Net):
+        self.places = net.places()
+        self.index = {pl: i for i, pl in enumerate(self.places)}
+
+        def pairs(bag: Bag) -> tuple:
+            return tuple((self.index[pl], c) for pl, c in bag.items())
+
+        self.transitions = tuple(
+            (t, pairs(t.input), pairs(t.inhibitor), pairs(t.output)) for t in net
+        )
+        self._ranked = len({t.tag.priority for t in net}) > 1
+        self._cells = tuple(f" . {pl}" for pl in self.places)
+
+    def encode(self, marking: Bag) -> tuple:
+        vec = [0] * len(self.places)
+        for pl, c in marking.items():
+            i = self.index.get(pl)
+            if i is None:
+                raise ValueError(f"marking uses a place absent from the net: {pl}")
+            vec[i] = c
+        return tuple(vec)
+
+    def decode(self, vec: tuple) -> Bag:
+        return _from_items(tuple((pl, c) for pl, c in zip(self.places, vec) if c))
+
+    def render(self, vec: tuple) -> str:
+        """``Bag.render`` of the decoded marking, byte for byte."""
+        return " + ".join([f"{c}{cell}" for c, cell in zip(vec, self._cells) if c]) or "nilP"
+
+    def successors(self, vec: tuple) -> Iterator[tuple[Transition, tuple]]:
+        """(transition, successor vector) per enabled instance, in net order.
+
+        An instance is enabled when it has concession (inputs covered, every
+        inhibitor bound respected) and no instance with concession has a
+        higher priority.
+        """
+        holders = []
+        for rec in self.transitions:
+            for i, need in rec[1]:
+                if vec[i] < need:
+                    break
+            else:
+                for i, bound in rec[2]:
+                    if vec[i] >= bound:
+                        break
+                else:
+                    holders.append(rec)
+        if self._ranked and holders:
+            top = max(rec[0].tag.priority for rec in holders)
+            holders = [rec for rec in holders if rec[0].tag.priority == top]
+        for t, inp, _inh, out in holders:
+            nxt = list(vec)
+            for i, c in inp:
+                nxt[i] -= c
+            for i, c in out:
+                nxt[i] += c
+            yield t, tuple(nxt)
+
+
 class System:
     """A net together with a marking of its places."""
 
@@ -265,6 +345,16 @@ class System:
         self.net = net
         self.marking = marking
         self._hash = None
+
+    @classmethod
+    def decoded(cls, net: Net, vec: tuple) -> "System":
+        """The net marked by a vector over its compiled places; the places
+        come from the net, so they are not checked."""
+        self = object.__new__(cls)
+        self.net = net
+        self.marking = net.compiled().decode(vec)
+        self._hash = None
+        return self
 
     @property
     def key(self) -> tuple[str, str]:
@@ -313,21 +403,13 @@ def enabled_instances(system: System) -> tuple[Transition, ...]:
     Transitions with concession at less than the maximal concession priority
     are preempted.
     """
-    holders = [t for t in system.net if has_concession(t, system.marking)]
-    if not holders:
-        return ()
-    top = max(t.tag.priority for t in holders)
-    return tuple(t for t in holders if t.tag.priority == top)
+    cnet = system.net.compiled()
+    return tuple(t for t, _ in cnet.successors(cnet.encode(system.marking)))
 
 
 def enabled(t: Transition, system: System) -> bool:
     """Priority-aware enabling of one transition of the system's net."""
-    if not has_concession(t, system.marking):
-        return False
-    return not any(
-        u.tag.priority > t.tag.priority and has_concession(u, system.marking)
-        for u in system.net
-    )
+    return t in enabled_instances(system)
 
 
 def enab_set(system: System) -> tuple[Transition, ...]:

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .bag import Bag
-from .canon import normalize, normalize_marking
-from .net import Net, System, enabled_instances, fire, _TAG_RE
+from .canon import normalize, normalize_vector
+from .net import Net, System, _TAG_RE
 
 # Opaque rule-specific binding record; two matches are equal iff their
 # bindings are equal.
@@ -85,8 +85,10 @@ def fire_agg(system: System) -> dict[Bag, dict[str, float]]:
     net iteration order.
     """
     acc: dict[Bag, dict[str, float]] = {}
-    for t in enabled_instances(system):
-        target = normalize_marking(system.net, fire(t, system.marking))
+    cnet = system.net.compiled()
+    for t, nxt in cnet.successors(cnet.encode(system.marking)):
+        net, vec = normalize_vector(system.net, nxt)
+        target = net.compiled().decode(vec)
         per_tag = acc.setdefault(target, {})
         per_tag[t.tag.tag] = per_tag.get(t.tag.tag, 0.0) + t.tag.rate
     return acc

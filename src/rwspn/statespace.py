@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .canon import normalize
-from .net import System, enabled_instances, fire
-from .rewrite import RewriteRule, rule_app, to_augmented
+from .canon import normalize, normalize_vector
+from .net import Net, System
+from .rewrite import RewriteRule, rule_app
 
 Edge = tuple[int, int, str, float]  # source, target, label, rate
 
@@ -75,40 +75,40 @@ class TransitionSystem:
                 fh.write(f"{src} {dst} {label} {rate!r}\n")
 
 
-def _quotient_successors(rules: Sequence[RewriteRule]):
-    def successors(state: System) -> list[tuple[System, str, float]]:
-        aug = to_augmented(state, rules)
-        out = []
-        for marking, per_tag in aug.firing_targets.items():
-            target = System(state.net, marking)
-            out.extend((target, label, rate) for label, rate in per_tag.items())
-        for target, per_rule in aug.rewrite_targets.items():
-            out.extend((target, label, rate) for label, rate in per_rule.items())
-        return out
-
-    return successors
+State = tuple[Net, tuple]  # a net and a marking vector over its compiled places
 
 
-def _ordinary_successors(rules: Sequence[RewriteRule]):
-    def successors(state: System) -> list[tuple[System, str, float]]:
-        merged: dict[tuple[System, str], float] = {}
-        order: list[tuple[System, str]] = []
+def _identity(net: Net, vec: tuple) -> State:
+    return net, vec
 
-        def add(target: System, label: str, rate: float) -> None:
-            key = (target, label)
-            if key in merged:
-                # parallel edges with one label collapse, rates summed
-                merged[key] += rate
-            else:
-                merged[key] = rate
-                order.append(key)
 
-        for t in enabled_instances(state):
-            add(System(state.net, fire(t, state.marking)), t.tag.tag, t.tag.rate)
-        for rule in rules:
-            for _match, raw in rule_app(rule, state):
-                add(normalize(raw) if rule.normalize_result else raw, rule.tag, rule.rate)
-        return [(target, label, merged[(target, label)]) for target, label in order]
+def _successors(rules: Sequence[RewriteRule], canon: Callable[[Net, tuple], State]):
+    """Successor function of the BFS, given the canonicalizer of firing
+    targets: ``normalize_vector`` in quotient mode, the identity in ordinary
+    mode.
+
+    Rules run on the decoded system; their results are normalized when
+    firing targets are, or when the rule itself normalizes.  Rates of equal
+    (target, label) pairs are summed in firing order (net order), then in
+    rule and match order.
+    """
+    quotient = canon is not _identity
+
+    def successors(net: Net, vec: tuple) -> dict[tuple[State, str], float]:
+        merged: dict[tuple[State, str], float] = {}
+        for t, nxt in net.compiled().successors(vec):
+            key = (canon(net, nxt), t.tag.tag)
+            merged[key] = merged.get(key, 0.0) + t.tag.rate
+        if rules:
+            system = System.decoded(net, vec)
+            for rule in rules:
+                for _match, raw in rule_app(rule, system):
+                    target = (raw.net, raw.net.compiled().encode(raw.marking))
+                    if quotient or rule.normalize_result:
+                        target = normalize_vector(*target)
+                    key = (target, rule.tag)
+                    merged[key] = merged.get(key, 0.0) + rule.rate
+        return merged
 
     return successors
 
@@ -126,19 +126,24 @@ def explore(
     rule match (parallel same-label edges merge, rates summed); rules whose
     right-hand side normalizes still do so, since that is part of the rule.
     ``max_states`` is checked as each state is added.
+
+    The BFS holds each state as its net and an int tuple over the net's
+    compiled form (``Net.compiled``), and fires on those tuples; states are
+    decoded to ``System`` objects for the rules and once more, after the
+    BFS, for the result.
     """
     if mode == "quotient":
-        start = normalize(initial)
-        successors = _quotient_successors(rules)
+        canon = normalize_vector
     elif mode == "ordinary":
-        start = initial
-        successors = _ordinary_successors(rules)
+        canon = _identity
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    successors = _successors(rules, canon)
+    start = canon(initial.net, initial.net.compiled().encode(initial.marking))
 
-    states: list[System] = [start]
+    states: list = [start]
     levels: list[int] = [0]
-    ids: dict[System, int] = {start: 0}
+    ids: dict[State, int] = {start: 0}
     edges: list[Edge] = []
     frontier = [0]
     level = 0
@@ -146,7 +151,7 @@ def explore(
         level += 1
         next_frontier: list[int] = []
         for src in frontier:
-            for target, label, rate in successors(states[src]):
+            for (target, label), rate in successors(*states[src]).items():
                 tid = ids.get(target)
                 if tid is None:
                     tid = len(states)
@@ -158,6 +163,10 @@ def explore(
                         raise BudgetExceededError(len(states), level, max_states)
                 edges.append((src, tid, label, rate))
         frontier = next_frontier
+    # decode in place, so that one copy of the state list is alive at a time
+    del ids
+    for i, (net, vec) in enumerate(states):
+        states[i] = System.decoded(net, vec)
 
     # renumber: BFS level, then canonical order within a level
     order = sorted(range(len(states)), key=lambda i: (levels[i], states[i].key))

@@ -223,6 +223,28 @@ def test_reliability_bounds():
     assert reliability(ts, absorbed) == pytest.approx(0.0)
 
 
+def _two_state_ts():
+    return TransitionSystem(
+        mode="quotient",
+        states=[None, None],
+        edges=[(0, 1, "as", 1.0)],
+        levels=[0, 1],
+        _index={"a": 0, "b": 1},
+    )
+
+
+def test_reliability_keeps_relative_precision():
+    # 1 - (final mass) would read 0 here
+    ts = _two_state_ts()
+    assert reliability(ts, [1e-20, 1.0]) == 1e-20
+    # R(t) = exp(-t) on 0 -> 1 at rate 1: the steps keep it to about 1e-11
+    # relative, where 1 - (final mass) is off by 1.7e-5 relative at t = 28
+    grid = [float(t) for t in range(1, 29)]
+    series = measure_series(ts, Generator(2, {(0, 1): 1.0}), grid, eps=1e-12)
+    for t, r in zip(grid, series.reliability):
+        assert r == pytest.approx(math.exp(-t), rel=1e-9, abs=0)
+
+
 def test_measure_series_warns_on_missing_tag():
     ts = quotient_ts(1)
     gen = build_generator(ts)

@@ -1,0 +1,69 @@
+"""Export digests pinned to the outputs of the object-level explorer.
+
+Any change to exploration, canonicalization or generator assembly that
+alters a byte of ``states.txt``, ``edges.txt`` or ``generator.coo`` for
+these models fails here.  The digests were taken from the explorer that
+fired and canonicalized on ``Bag`` markings, before the integer form.
+"""
+
+import hashlib
+
+import pytest
+
+from rwspn import build_generator, build_npl_sys, explore
+
+from conftest import ordinary_ts, quotient_ts
+
+# (mode, n, k, m) -> SHA-256 of states.txt, edges.txt, generator.coo
+GOLDEN = {
+    ("quotient", 1, 2, 2): (
+        "9d077dab857f94a05e5631bd28937a371d926f10bf1c836f15cbbd1ae0d45ced",
+        "edd4e5c690bde9a5c18b357de1fd67907abed7e58443ecc4f425ab5bef7201af",
+        "4000af19610cbb10bdc3a65d04c9540878f0725f5b25c69c64b8840b3bbdeaf4",
+    ),
+    ("quotient", 2, 2, 2): (
+        "ecbceb77ec51afdf9370e4ec8a69959fdbb406e5a9cee286363030a920d8eab9",
+        "b22c469b30a05fc873a627ae41a51e8bfb2101c8c20f3f58bd7499fc3ee776bf",
+        "53b49cd1f32826129a6e82ab06c84fb48cafc7d4f41f88f1e343798c463e66dc",
+    ),
+    ("quotient", 3, 2, 2): (
+        "e002b2bab07504c855b91b9ea76ac211448e982458e1f8c5d0ece73c2bcf0198",
+        "1362f24475132965a785a102eaaf1b1cf81ebe0539bf0079ca866d87f2a22c8e",
+        "ec6f5633190ac15250da4fe821692b056e941c965cb87874edccbf62df831c8e",
+    ),
+    ("ordinary", 1, 2, 2): (
+        "34ddcf3c956831e793104ed1e99f58d9ce2037b6bb2db255bb839a92355f4857",
+        "9543b15d1a9b4226d1c8c91694ee5fbea9f5c6386f8fda535b5363fe5651d2e2",
+        "65522b01bcdf8d206c97a78700e0ab97a0a580b530eb3a746106c956973caf3e",
+    ),
+    ("ordinary", 2, 2, 2): (
+        "6152ac5860c0f43ccb0cdd47526994053ace5a96618f46a5f66644588970e585",
+        "9b317aec64edcc70aedfbf7589bb02e0c4788f4e377ff5d1daf6149adb48e5e4",
+        "ea91d210e7cdc9c00f8adc2089283c7d9bfa395f21658a702fc73920c20053d4",
+    ),
+    # firing only: the rules are defined for k = 2
+    ("ordinary", 1, 3, 3): (
+        "bcfbe9dacb04adf359fc0621256d6040ee5c63e2c8179e206e153bb31e0de987",
+        "039e62b88f479f6ff045cd8f4182d84b92294163b4a1f75fc1a613f5cd68c7d4",
+        "5aed9f6978699efd1e3431b2664bd8899607a563d3d422a6ec18c5f9417b3375",
+    ),
+}
+
+
+def _explored(mode, n, k, m):
+    if k == 2 and m == 2:
+        return quotient_ts(n) if mode == "quotient" else ordinary_ts(n)
+    return explore(build_npl_sys(n, k, m), (), mode=mode)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_export_digests(case, tmp_path):
+    ts = _explored(*case)
+    ts.write_states(tmp_path / "states.txt")
+    ts.write_edges(tmp_path / "edges.txt")
+    build_generator(ts).write_coo(tmp_path / "generator.coo")
+    got = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("states.txt", "edges.txt", "generator.coo")
+    )
+    assert got == GOLDEN[case]
