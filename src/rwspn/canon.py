@@ -193,8 +193,6 @@ def _sort_columns(vec: tuple, columns: tuple) -> tuple:
 
 def _minimal(form: _NetForm, vec: tuple) -> tuple:
     """The candidate image of a raw vector with the smallest rendering."""
-    if len(form.perms) == 1 and not form.columns:
-        return tuple([vec[i] for i in form.perms[0]])
     render = form.net.compiled().render
     best = best_text = None
     seen = set()

@@ -272,7 +272,7 @@ class CompiledNet:
     tuples.
     """
 
-    __slots__ = ("places", "index", "transitions", "_ranked", "_cells")
+    __slots__ = ("places", "index", "transitions", "_cells")
 
     def __init__(self, net: Net):
         self.places = net.places()
@@ -284,7 +284,6 @@ class CompiledNet:
         self.transitions = tuple(
             (t, pairs(t.input), pairs(t.inhibitor), pairs(t.output)) for t in net
         )
-        self._ranked = len({t.tag.priority for t in net}) > 1
         self._cells = tuple(f" . {pl}" for pl in self.places)
 
     def encode(self, marking: Bag) -> tuple:
@@ -321,7 +320,7 @@ class CompiledNet:
                         break
                 else:
                     holders.append(rec)
-        if self._ranked and holders:
+        if holders:
             top = max(rec[0].tag.priority for rec in holders)
             holders = [rec for rec in holders if rec[0].tag.priority == top]
         for t, inp, _inh, out in holders:

@@ -78,26 +78,21 @@ class TransitionSystem:
 State = tuple[Net, tuple]  # a net and a marking vector over its compiled places
 
 
-def _identity(net: Net, vec: tuple) -> State:
-    return net, vec
+def _successors(rules: Sequence[RewriteRule], quotient: bool):
+    """Successor function of the BFS.  In quotient mode every target is
+    normalized (``normalize_vector``); in ordinary mode only the results of
+    rules that normalize themselves are.
 
-
-def _successors(rules: Sequence[RewriteRule], canon: Callable[[Net, tuple], State]):
-    """Successor function of the BFS, given the canonicalizer of firing
-    targets: ``normalize_vector`` in quotient mode, the identity in ordinary
-    mode.
-
-    Rules run on the decoded system; their results are normalized when
-    firing targets are, or when the rule itself normalizes.  Rates of equal
-    (target, label) pairs are summed in firing order (net order), then in
-    rule and match order.
+    Rules run on the decoded system.  Rates of equal (target, label) pairs
+    are summed in firing order (net order), then in rule and match order;
+    this also merges a firing and a rule result when a transition tag equals
+    a rule tag and both reach the same target.
     """
-    quotient = canon is not _identity
 
     def successors(net: Net, vec: tuple) -> dict[tuple[State, str], float]:
         merged: dict[tuple[State, str], float] = {}
         for t, nxt in net.compiled().successors(vec):
-            key = (canon(net, nxt), t.tag.tag)
+            key = (normalize_vector(net, nxt) if quotient else (net, nxt), t.tag.tag)
             merged[key] = merged.get(key, 0.0) + t.tag.rate
         if rules:
             system = System.decoded(net, vec)
@@ -125,6 +120,8 @@ def explore(
     Ordinary mode stores states verbatim, one edge per firing instance or
     rule match (parallel same-label edges merge, rates summed); rules whose
     right-hand side normalizes still do so, since that is part of the rule.
+    In both modes a firing and a rule match with the same label and target
+    give one edge with the summed rate.
     ``max_states`` is checked as each state is added.
 
     The BFS holds each state as its net and an int tuple over the net's
@@ -132,14 +129,13 @@ def explore(
     decoded to ``System`` objects for the rules and once more, after the
     BFS, for the result.
     """
-    if mode == "quotient":
-        canon = normalize_vector
-    elif mode == "ordinary":
-        canon = _identity
-    else:
+    if mode not in ("quotient", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}")
-    successors = _successors(rules, canon)
-    start = canon(initial.net, initial.net.compiled().encode(initial.marking))
+    quotient = mode == "quotient"
+    successors = _successors(rules, quotient)
+    start = (initial.net, initial.net.compiled().encode(initial.marking))
+    if quotient:
+        start = normalize_vector(*start)
 
     states: list = [start]
     levels: list[int] = [0]

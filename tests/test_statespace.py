@@ -14,6 +14,7 @@ from rwspn import (
     production_rules,
     quotient_partition,
 )
+from rwspn.rewrite import RewriteRule
 
 from conftest import ordinary_ts, quotient_ts
 
@@ -59,6 +60,22 @@ def test_deadlocked_initial_state():
     ts = explore(System(Net((t,)), Bag()), (), mode="ordinary")
     assert len(ts) == 1
     assert ts.final_states() == (0,)
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "quotient"])
+def test_firing_and_rule_with_equal_tag_and_target_merge(mode):
+    # transition "x" and rule "x" both move the token from a to b
+    a, b = place(("a", 0)), place(("b", 0))
+    net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("x", rate=2.0)),))
+    rule = RewriteRule(
+        "x",
+        0.5,
+        matcher=lambda s: ((0,),) if s.marking[a] else (),
+        applier=lambda s, m: System(s.net, Bag({b: 1})),
+    )
+    ts = explore(System(net, Bag({a: 1})), (rule,), mode=mode)
+    assert len(ts) == 2
+    assert ts.edges == [(0, 1, "x", 2.5)]
 
 
 def test_budget_exceeded():
