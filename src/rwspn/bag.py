@@ -21,7 +21,7 @@ class Bag:
     identical text.  Zero-multiplicity entries are never stored.
     """
 
-    __slots__ = ("_entries", "_items", "_render", "_hash")
+    __slots__ = ("_entries", "_items", "_render")
 
     def __init__(self, entries: Mapping | Iterable[tuple] = ()):
         data: dict = {}
@@ -36,7 +36,6 @@ class Bag:
         self._entries = data
         self._items = None
         self._render = None
-        self._hash = None
 
     @classmethod
     def of(cls, *elements) -> "Bag":
@@ -106,9 +105,7 @@ class Bag:
         return self._entries == other._entries
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.items())
-        return self._hash
+        return hash(self.items())
 
     def filter(self, keep: Callable) -> "Bag":
         """Restriction to elements satisfying ``keep``; multiplicities kept."""
@@ -152,5 +149,4 @@ def _raw(data: dict) -> Bag:
     bag._entries = data
     bag._items = None
     bag._render = None
-    bag._hash = None
     return bag

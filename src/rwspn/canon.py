@@ -65,21 +65,20 @@ def _rewrite_bag(bag: Bag, memo: dict, chosen: Assignment) -> Bag:
     return Bag(out)
 
 
-def _assignment_count(net: Net, bound: int) -> int:
-    total = 1
-    for _key, indices in sibling_groups(net):
-        total *= math.factorial(len(indices))
-        if total > bound:
-            return total
-    return total
+_BOUND = 10**6  # most assignments an enumeration tries
 
 
-def _dense_assignments(net: Net):
-    groups = sibling_groups(net)
-    keys = [key for key, _ in groups]
-    index_sets = [indices for _, indices in groups]
-    for combo in itertools.product(*(itertools.permutations(range(len(ix))) for ix in index_sets)):
-        yield {key: dict(zip(ix, perm)) for key, ix, perm in zip(keys, index_sets, combo)}
+def _arrangements(groups, bound: int = _BOUND):
+    """Every assignment that maps each group's indices bijectively onto
+    0..k-1, lazily; raises ``CanonBoundError`` up front if there are more
+    than ``bound``."""
+    total = math.prod(math.factorial(len(ix)) for _, ix in groups)
+    if total > bound:
+        raise CanonBoundError(total, bound)
+    perms = itertools.product(*(itertools.permutations(range(len(ix))) for _, ix in groups))
+    return (
+        {key: dict(zip(ix, perm)) for (key, ix), perm in zip(groups, combo)} for combo in perms
+    )
 
 
 class _NetForm(NamedTuple):
@@ -95,14 +94,6 @@ class _NetForm(NamedTuple):
 
 _FORMS: dict[Net, _NetForm] = {}
 _END = ((math.inf,),)  # past every row: a column with no more cells is absent there
-
-
-def _arrangements(groups):
-    """Every assignment that permutes each of the given dense groups."""
-    keys = [key for key, _ in groups]
-    perms = [list(itertools.permutations(range(len(ix)))) for _, ix in groups]
-    for combo in itertools.product(*perms):
-        yield {key: dict(enumerate(perm)) for key, perm in zip(keys, combo)}
 
 
 def _swap_fixes(net: Net, key: GroupKey, i: int, k: int) -> bool:
@@ -136,10 +127,6 @@ def _net_form(net: Net) -> _NetForm:
         tag for (suffix, tag), _ in groups if symmetric and not suffix and tag not in inner
     )
     rest = [(key, ix) for key, ix in groups if key[0] or key[1] not in sortable]
-    bound = 10**6  # brute_force_normal's default
-    total = math.prod(math.factorial(len(ix)) for _, ix in rest)
-    if total > bound:
-        raise CanonBoundError(total, bound)
     if symmetric:
         best, kept = dense, list(_arrangements(rest))
     else:
@@ -254,18 +241,15 @@ def apply_assignment(system: System, assignment: Assignment) -> System:
     return System(net, marking)
 
 
-def brute_force_normal(system: System, bound: int = 10**6) -> System:
+def brute_force_normal(system: System, bound: int = _BOUND) -> System:
     """Testing oracle: enumerate every admissible index assignment.
 
     For each sibling group all bijections of its index set onto 0..k-1 are
     tried (covering both permutation and re-densification); the systemOrder
     minimum is returned.
     """
-    total = _assignment_count(system.net, bound)
-    if total > bound:
-        raise CanonBoundError(total, bound)
     best = None
-    for assignment in _dense_assignments(system.net):
+    for assignment in _arrangements(sibling_groups(system.net), bound):
         cand = apply_assignment(system, assignment)
         if best is None or cand.key < best.key:
             best = cand

@@ -39,12 +39,16 @@ class Generator:
 
     def __init__(self, n: int, offdiag: dict[tuple[int, int], float]):
         self.n = n
-        self._entries = dict(offdiag)
-        rows = np.fromiter((i for i, _ in self._entries), dtype=np.int64, count=len(self._entries))
-        cols = np.fromiter((j for _, j in self._entries), dtype=np.int64, count=len(self._entries))
-        data = np.fromiter(self._entries.values(), dtype=np.float64, count=len(self._entries))
+        rows = np.fromiter((i for i, _ in offdiag), dtype=np.int64, count=len(offdiag))
+        cols = np.fromiter((j for _, j in offdiag), dtype=np.int64, count=len(offdiag))
+        data = np.fromiter(offdiag.values(), dtype=np.float64, count=len(offdiag))
+        if np.any(rows == cols):
+            raise ValueError("diagonal entry among the off-diagonal rates")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("non-finite off-diagonal rate")
         if np.any(data < 0):
             raise ValueError("negative off-diagonal rate")
+        # canonical CSR: row-major, sorted indices, no duplicates (keys are unique)
         self.offdiag = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         self.diagonal = -np.asarray(self.offdiag.sum(axis=1)).ravel()
         self.matrix = (self.offdiag + sp.diags(self.diagonal)).tocsr()
@@ -57,7 +61,9 @@ class Generator:
 
     def entries(self):
         """Off-diagonal entries as sorted (i, j, rate) triples."""
-        return tuple((i, j, self._entries[(i, j)]) for i, j in sorted(self._entries))
+        m = self.offdiag
+        rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
+        return tuple(zip(rows.tolist(), m.indices.tolist(), m.data.tolist()))
 
     def write_coo(self, path) -> None:
         with open(path, "w") as fh:
@@ -77,13 +83,37 @@ def build_generator(ts: TransitionSystem) -> Generator:
     return Generator(len(ts.states), acc)
 
 
-def _class_outflows(gen: Generator, partition: np.ndarray, state: int) -> dict[int, float]:
-    indptr, indices, data = gen.offdiag.indptr, gen.offdiag.indices, gen.offdiag.data
-    sums: dict[int, float] = {}
-    for k in range(indptr[state], indptr[state + 1]):
-        cls = int(partition[indices[k]])
-        sums[cls] = sums.get(cls, 0.0) + data[k]
-    return sums
+def _class_flows(gen: Generator, partition: Sequence[int], tol: float):
+    """F = Q·V for the 0/1 state-to-class matrix V of ``partition``, and
+    the first breach of strong lumpability in it.
+
+    Row i of F is the rate from state i into each class; the diagonal of Q
+    never enters it.  The partition is strongly lumpable iff every row is
+    within ``tol`` of the row of its class's first state.  Returns
+    ``(labels, first, flows, detail)``: the sorted class labels, each
+    class's first state, F as CSR, and None or the counterexample at the
+    smallest breaching state and, within it, the smallest target class.
+    """
+    part = np.asarray(partition, dtype=np.int64)
+    if len(part) != gen.n:
+        raise ValueError("partition must cover all states")
+    labels, first, cls = np.unique(part, return_index=True, return_inverse=True)
+    v = sp.csr_matrix((np.ones(gen.n), (np.arange(gen.n), cls)), shape=(gen.n, len(labels)))
+    flows = (gen.offdiag @ v).tocsr()
+    dev = abs(flows - flows[first[cls]]).tocoo()
+    bad = dev.data > tol
+    if not bad.any():
+        return labels, first, flows, None
+    rows, cols = dev.row[bad], dev.col[bad]
+    i = rows.min()
+    target = cols[rows == i].min()
+    rep = first[cls[i]]
+    return labels, first, flows, {
+        "class": int(labels[cls[i]]),
+        "states": (int(rep), int(i)),
+        "target_class": int(labels[target]),
+        "rates": (float(flows[rep, target]), float(flows[i, target])),
+    }
 
 
 def check_strong_lumpability(
@@ -96,30 +126,8 @@ def check_strong_lumpability(
     only the off-diagonal part).  Members are compared against the first
     state of their class at tolerance ``tol``.  Returns (ok, counterexample).
     """
-    part = np.asarray(partition, dtype=np.int64)
-    if len(part) != gen.n:
-        raise ValueError("partition must cover all states")
-    reference: dict[int, dict[int, float]] = {}
-    rep: dict[int, int] = {}
-    for i in range(gen.n):
-        sums = _class_outflows(gen, part, i)
-        cls = int(part[i])
-        if cls not in reference:
-            reference[cls] = sums
-            rep[cls] = i
-            continue
-        ref = reference[cls]
-        for target in ref.keys() | sums.keys():
-            a = ref.get(target, 0.0)
-            b = sums.get(target, 0.0)
-            if abs(a - b) > tol:
-                return False, {
-                    "class": cls,
-                    "states": (rep[cls], i),
-                    "target_class": target,
-                    "rates": (a, b),
-                }
-    return True, None
+    detail = _class_flows(gen, partition, tol)[3]
+    return detail is None, detail
 
 
 def lump_generator(gen: Generator, partition: Sequence[int], tol: float = 1e-9) -> Generator:
@@ -128,22 +136,15 @@ def lump_generator(gen: Generator, partition: Sequence[int], tol: float = 1e-9) 
     Entry [C, C'] is the representative row sum into C'; flows inside a class
     contribute to the diagonal only.
     """
-    ok, detail = check_strong_lumpability(gen, partition, tol)
-    if not ok:
+    labels, first, flows, detail = _class_flows(gen, partition, tol)
+    if detail is not None:
         raise LumpabilityError(detail)
-    part = np.asarray(partition, dtype=np.int64)
-    classes = sorted(set(int(c) for c in part))
-    if classes != list(range(len(classes))):
+    if not np.array_equal(labels, np.arange(len(labels))):
         raise ValueError("class ids must be 0..m-1")
-    rep: dict[int, int] = {}
-    for i, cls in enumerate(part):
-        rep.setdefault(int(cls), i)
-    acc: dict[tuple[int, int], float] = {}
-    for cls in classes:
-        for target, rate in sorted(_class_outflows(gen, part, rep[cls]).items()):
-            if target != cls and rate:
-                acc[(cls, target)] = rate
-    return Generator(len(classes), acc)
+    lumped = flows[first].tocoo()
+    keep = (lumped.row != lumped.col) & (lumped.data != 0)
+    pairs = zip(lumped.row[keep].tolist(), lumped.col[keep].tolist())
+    return Generator(len(labels), dict(zip(pairs, lumped.data[keep].tolist())))
 
 
 # share of the truncation budget ``eps`` given to the left Poisson tail

@@ -37,18 +37,10 @@ class TransitionSystem:
     states: list[System]
     edges: list[Edge]
     levels: list[int]
-    _index: dict = field(default_factory=dict, repr=False)
     _finals: tuple | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {s: i for i, s in enumerate(self.states)}
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def state_index(self, system: System) -> int:
-        return self._index[system]
 
     def final_states(self) -> tuple[int, ...]:
         """Indices of states with no outgoing edge."""
@@ -137,6 +129,8 @@ def explore(
     if quotient:
         start = normalize_vector(*start)
 
+    if max_states is not None and max_states < 1:
+        raise BudgetExceededError(1, 0, max_states)
     states: list = [start]
     levels: list[int] = [0]
     ids: dict[State, int] = {start: 0}
@@ -182,9 +176,8 @@ def quotient_partition(ordinary: TransitionSystem, quotient: TransitionSystem) -
     Total and surjective when both systems were explored from the same
     initial system.
     """
-    part = []
-    for s in ordinary.states:
-        part.append(quotient.state_index(normalize(s)))
+    index = {s: i for i, s in enumerate(quotient.states)}
+    part = [index[normalize(s)] for s in ordinary.states]
     if set(part) != set(range(len(quotient.states))):
         raise ValueError("normalize image does not cover the quotient states")
     return part

@@ -5,7 +5,13 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from hypothesis import settings
+
 from rwspn import Bag, System, build_npl_sys, explore, production_rules
+
+# property tests draw the same examples on every run and write no database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 import rwspn
@@ -48,13 +50,21 @@ def test_generator_rejects_negative_rates():
         Generator(2, {(0, 1): -1.0})
 
 
+@pytest.mark.parametrize(
+    "rates", [{(0, 1): math.nan}, {(0, 1): math.inf}, {(0, 0): 1.0, (0, 1): 1.0}]
+)
+def test_generator_rejects_non_finite_and_diagonal_rates(rates):
+    # a diagonal key would be listed by entries() and counted as an exit rate
+    with pytest.raises(ValueError):
+        Generator(2, rates)
+
+
 def test_build_generator_sums_parallel_edges_and_skips_self_loops():
     ts = TransitionSystem(
         mode="quotient",
         states=[None, None],
         edges=[(0, 0, "x", 9.0), (0, 1, "a", 0.5), (0, 1, "b", 0.5)],
         levels=[0, 1],
-        _index={"a": 0, "b": 1},
     )
     gen = build_generator(ts)
     assert gen.entries() == ((0, 1, 1.0),)
@@ -84,6 +94,89 @@ def test_lumpability_negative_case():
     assert detail["states"] == (0, 1)
     with pytest.raises(LumpabilityError):
         lump_generator(gen, [0, 0, 1])
+
+
+TOL = 2.0**-10  # rates below are dyadic, so every sum is exact in any order
+DELTA = 2.0**-20
+
+
+def _dense_lumping(gen, part, tol):
+    """Q·V with dense arrays, and the first state, scanning in state order,
+    whose row differs from its class's first state's row by more than tol."""
+    labels = sorted(set(part))
+    v = np.zeros((len(part), len(labels)))
+    for i, c in enumerate(part):
+        v[i, labels.index(c)] = 1.0
+    f = gen.offdiag.toarray() @ v
+    first = {c: part.index(c) for c in labels}
+    for i, c in enumerate(part):
+        rep = first[c]
+        bad = np.flatnonzero(np.abs(f[i] - f[rep]) > tol)
+        if len(bad):
+            t = int(bad[0])
+            return labels, first, f, {
+                "class": c,
+                "states": (rep, i),
+                "target_class": labels[t],
+                "rates": (f[rep, t], f[i, t]),
+            }
+    return labels, first, f, None
+
+
+@st.composite
+def lumping_cases(draw):
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(1, max(n, 1)))
+    cls = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    rate = st.integers(1, 16).map(lambda u: u / 4)
+    rates: dict = {}
+    if n and draw(st.booleans()):
+        # lumpable by construction: each state sends its class's rate into
+        # every class d, all of it to one member of d other than itself
+        lumped = {(c, d): draw(rate) for c in set(cls) for d in set(cls) if draw(st.booleans())}
+        for i, c in enumerate(cls):
+            for d in set(cls):
+                members = [j for j, e in enumerate(cls) if e == d and j != i]
+                if (c, d) in lumped and members:
+                    j = draw(st.sampled_from(members))
+                    rates[(i, j)] = rates.get((i, j), 0.0) + lumped[(c, d)]
+    elif n > 1:
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for key in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)):
+            rates[key] = draw(rate)
+    if rates:
+        # one rate moved by about tol: a breach only when strictly above it
+        key = draw(st.sampled_from(sorted(rates)))
+        rates[key] += draw(st.sampled_from([0.0, TOL - DELTA, TOL, TOL + DELTA, 1.0]))
+    if draw(st.booleans()):  # arbitrary integer labels, else 0..m-1
+        names = draw(st.lists(st.integers(-(2**40), 2**40), min_size=k, max_size=k, unique=True))
+        part = [names[c] for c in cls]
+    else:
+        used = sorted(set(cls))
+        part = [used.index(c) for c in cls]
+    return Generator(n, rates), part
+
+
+@given(lumping_cases())
+def test_lumpability_matches_dense_reference(case):
+    gen, part = case
+    labels, first, f, expected = _dense_lumping(gen, part, TOL)
+    ok, detail = check_strong_lumpability(gen, part, tol=TOL)
+    assert (ok, detail) == (expected is None, expected)
+    if detail is not None:
+        assert all(type(r) is float for r in detail["rates"])
+        with pytest.raises(LumpabilityError) as err:
+            lump_generator(gen, part, tol=TOL)
+        assert err.value.detail == expected
+    elif labels != list(range(len(labels))):
+        with pytest.raises(ValueError):
+            lump_generator(gen, part, tol=TOL)
+    else:
+        lumped = lump_generator(gen, part, tol=TOL)
+        assert lumped.n == len(labels)
+        assert lumped.entries() == tuple(
+            (c, d, f[first[c], d]) for c in labels for d in labels if d != c and f[first[c], d]
+        )
 
 
 def test_normalize_partition_is_lumpable():
@@ -205,7 +298,6 @@ def test_throughput_simple():
         states=[None, None],
         edges=[(0, 1, "as", 2.0)],
         levels=[0, 1],
-        _index={"a": 0, "b": 1},
     )
     assert throughput(ts, [1.0, 0.0], "as") == 2.0
     assert throughput(ts, [0.0, 1.0], "as") == 0.0
@@ -229,7 +321,6 @@ def _two_state_ts():
         states=[None, None],
         edges=[(0, 1, "as", 1.0)],
         levels=[0, 1],
-        _index={"a": 0, "b": 1},
     )
 
 

@@ -86,6 +86,14 @@ def test_budget_exceeded():
     assert err.value.budget == 50
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_counts_the_initial_state(budget):
+    with pytest.raises(BudgetExceededError) as err:
+        explore(System(Net(), Bag()), max_states=budget)
+    assert (err.value.states, err.value.level, err.value.budget) == (1, 0, budget)
+    assert len(explore(System(Net(), Bag()), max_states=1)) == 1
+
+
 def test_invalid_mode():
     with pytest.raises(ValueError):
         explore(build_npl_sys(1, 2, 2), (), mode="weird")
