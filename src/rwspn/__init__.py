@@ -50,7 +50,6 @@ from .rewrite import (
     all_rewrites,
     fire_agg,
     rule_app,
-    rule_exe,
     to_augmented,
 )
 from .statespace import (

@@ -55,8 +55,7 @@ def cmd_explore(args) -> int:
         ts = explore(system, _rules_for(args), mode=args.mode, max_states=args.budget)
     except BudgetExceededError as exc:
         print(f"states>{exc.budget} final=? elapsed={time.perf_counter() - started:.2f}")
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise
     elapsed = time.perf_counter() - started
     if args.verify_symmetry and args.mode == "quotient":
         for s in ts.states:
@@ -177,7 +176,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_export_net)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Rewrite rules as first-class values, match enumeration, and aggregation
-of firing/rewrite rates into normalized target classes."""
+"""Rewrite rules as first-class values, match enumeration, and the one
+successor function: firing and rewrite rates aggregated into (normalized)
+target states."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .bag import Bag
-from .canon import normalize, normalize_vector
+from .canon import normalize_vector
 from .net import Net, System, _TAG_RE
 
 # Opaque rule-specific binding record; two matches are equal iff their
@@ -64,17 +65,43 @@ def rule_app(rule: RewriteRule, system: System) -> tuple[tuple[Match, System], .
     return tuple(out)
 
 
-def rule_exe(rule: RewriteRule, system: System) -> dict[System, float]:
-    """Rule results partitioned into normalized classes with aggregate rates.
+State = tuple[Net, tuple]  # a net and a marking vector over its compiled places
 
-    Each class's rate is the rule rate times the number of matches landing
-    in it.
+
+def _rule_steps(system: System, rules: Sequence[RewriteRule], quotient: bool):
+    """((target state, rule tag), rate) for every match, in rule order, then
+    match order.  Targets are normalized in quotient mode and, otherwise,
+    for rules that normalize their results."""
+    for rule in rules:
+        for _match, raw in rule_app(rule, system):
+            target = (raw.net, raw.net.compiled().encode(raw.marking))
+            if quotient or rule.normalize_result:
+                target = normalize_vector(*target)
+            yield (target, rule.tag), rule.rate
+
+
+def _successors(
+    net: Net, vec: tuple, rules: Sequence[RewriteRule], quotient: bool
+) -> dict[tuple[State, str], float]:
+    """Every successor of a state, as (target state, label) -> rate.
+
+    This is the one code path that expands a state: ``explore`` runs it,
+    ``fire_agg`` groups its firing results, and ``all_rewrites`` groups
+    the rule steps it adds.  In quotient mode every target is normalized
+    (``normalize_vector``).  Rules run on the decoded system.  Rates of
+    equal (target, label) pairs are summed in firing order (net order),
+    then in rule and match order; this also merges a firing and a rule
+    result when a transition tag equals a rule tag and both reach the same
+    target.
     """
-    acc: dict[System, float] = {}
-    for _match, raw in rule_app(rule, system):
-        target = normalize(raw)
-        acc[target] = acc.get(target, 0.0) + rule.rate
-    return acc
+    merged: dict[tuple[State, str], float] = {}
+    for t, nxt in net.compiled().successors(vec):
+        key = (normalize_vector(net, nxt) if quotient else (net, nxt), t.tag.tag)
+        merged[key] = merged.get(key, 0.0) + t.tag.rate
+    if rules:
+        for key, rate in _rule_steps(System.decoded(net, vec), rules, quotient):
+            merged[key] = merged.get(key, 0.0) + rate
+    return merged
 
 
 def fire_agg(system: System) -> dict[Bag, dict[str, float]]:
@@ -84,23 +111,21 @@ def fire_agg(system: System) -> dict[Bag, dict[str, float]]:
     produce and by tag text; rates of instances in a group are summed in
     net iteration order.
     """
+    net = system.net
+    merged = _successors(net, net.compiled().encode(system.marking), (), True)
     acc: dict[Bag, dict[str, float]] = {}
-    cnet = system.net.compiled()
-    for t, nxt in cnet.successors(cnet.encode(system.marking)):
-        net, vec = normalize_vector(system.net, nxt)
-        target = net.compiled().decode(vec)
-        per_tag = acc.setdefault(target, {})
-        per_tag[t.tag.tag] = per_tag.get(t.tag.tag, 0.0) + t.tag.rate
+    # without rules every key is one (target, tag) firing result
+    for ((tnet, tvec), tag), rate in merged.items():
+        acc.setdefault(tnet.compiled().decode(tvec), {})[tag] = rate
     return acc
 
 
 def all_rewrites(system: System, rules: Sequence[RewriteRule]) -> dict[System, dict[str, float]]:
     """Bulk rule application: normalized target system -> per-rule rates."""
     acc: dict[System, dict[str, float]] = {}
-    for rule in rules:
-        for target, rate in rule_exe(rule, system).items():
-            per_rule = acc.setdefault(target, {})
-            per_rule[rule.tag] = per_rule.get(rule.tag, 0.0) + rate
+    for (target, tag), rate in _rule_steps(system, rules, True):
+        per_rule = acc.setdefault(System.decoded(*target), {})
+        per_rule[tag] = per_rule.get(tag, 0.0) + rate
     return acc
 
 
@@ -117,12 +142,6 @@ class AugmentedState:
     marking: Bag
     firing_targets: dict = field(default_factory=dict)
     rewrite_targets: dict = field(default_factory=dict)
-
-    @property
-    def total_rate(self) -> float:
-        return sum(
-            r for per in self.firing_targets.values() for r in per.values()
-        ) + sum(r for per in self.rewrite_targets.values() for r in per.values())
 
 
 def to_augmented(system: System, rules: Sequence[RewriteRule] = ()) -> AugmentedState:

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from . import rewrite
 from .canon import normalize, normalize_vector
-from .net import Net, System
-from .rewrite import RewriteRule, rule_app
+from .net import System
+from .rewrite import RewriteRule, State
 
 Edge = tuple[int, int, str, float]  # source, target, label, rate
 
@@ -67,39 +68,6 @@ class TransitionSystem:
                 fh.write(f"{src} {dst} {label} {rate!r}\n")
 
 
-State = tuple[Net, tuple]  # a net and a marking vector over its compiled places
-
-
-def _successors(rules: Sequence[RewriteRule], quotient: bool):
-    """Successor function of the BFS.  In quotient mode every target is
-    normalized (``normalize_vector``); in ordinary mode only the results of
-    rules that normalize themselves are.
-
-    Rules run on the decoded system.  Rates of equal (target, label) pairs
-    are summed in firing order (net order), then in rule and match order;
-    this also merges a firing and a rule result when a transition tag equals
-    a rule tag and both reach the same target.
-    """
-
-    def successors(net: Net, vec: tuple) -> dict[tuple[State, str], float]:
-        merged: dict[tuple[State, str], float] = {}
-        for t, nxt in net.compiled().successors(vec):
-            key = (normalize_vector(net, nxt) if quotient else (net, nxt), t.tag.tag)
-            merged[key] = merged.get(key, 0.0) + t.tag.rate
-        if rules:
-            system = System.decoded(net, vec)
-            for rule in rules:
-                for _match, raw in rule_app(rule, system):
-                    target = (raw.net, raw.net.compiled().encode(raw.marking))
-                    if quotient or rule.normalize_result:
-                        target = normalize_vector(*target)
-                    key = (target, rule.tag)
-                    merged[key] = merged.get(key, 0.0) + rule.rate
-        return merged
-
-    return successors
-
-
 def explore(
     initial: System,
     rules: Sequence[RewriteRule] = (),
@@ -117,14 +85,14 @@ def explore(
     ``max_states`` is checked as each state is added.
 
     The BFS holds each state as its net and an int tuple over the net's
-    compiled form (``Net.compiled``), and fires on those tuples; states are
-    decoded to ``System`` objects for the rules and once more, after the
-    BFS, for the result.
+    compiled form (``Net.compiled``) and expands it with the successor
+    function in ``rewrite``, the same one that ``to_augmented`` reads; it
+    fires on the tuples, decodes a state to a ``System`` for the rules, and
+    decodes every state once more, after the BFS, for the result.
     """
     if mode not in ("quotient", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}")
     quotient = mode == "quotient"
-    successors = _successors(rules, quotient)
     start = (initial.net, initial.net.compiled().encode(initial.marking))
     if quotient:
         start = normalize_vector(*start)
@@ -141,7 +109,8 @@ def explore(
         level += 1
         next_frontier: list[int] = []
         for src in frontier:
-            for (target, label), rate in successors(*states[src]).items():
+            net, vec = states[src]
+            for (target, label), rate in rewrite._successors(net, vec, rules, quotient).items():
                 tid = ids.get(target)
                 if tid is None:
                     tid = len(states)
@@ -174,10 +143,12 @@ def quotient_partition(ordinary: TransitionSystem, quotient: TransitionSystem) -
     """Map each ordinary state to the index of its normal form in the quotient.
 
     Total and surjective when both systems were explored from the same
-    initial system.
+    initial system; raises ``ValueError`` when it is not.
     """
     index = {s: i for i, s in enumerate(quotient.states)}
-    part = [index[normalize(s)] for s in ordinary.states]
+    part = [index.get(normalize(s)) for s in ordinary.states]
+    if None in part:
+        raise ValueError(f"normal form of ordinary state {part.index(None)} is not in the quotient")
     if set(part) != set(range(len(quotient.states))):
         raise ValueError("normalize image does not cover the quotient states")
     return part

@@ -21,7 +21,19 @@ def test_explore_ordinary_counts(tmp_path, capsys):
 def test_explore_budget_exceeded(tmp_path, capsys):
     out = tmp_path / "b"
     rc = main(["explore", "--n", "2", "--budget", "40", "--out", str(out)])
-    assert rc != 0
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("states>40 final=? elapsed=")
+    assert captured.err.startswith("error: state budget 40 exceeded")
+
+
+def test_solve_budget_exceeded(tmp_path, capsys):
+    out = tmp_path / "sb"
+    assert main(["solve", "--n", "2", "--budget", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: state budget 10 exceeded")
+    assert not out.exists()
 
 
 def test_explore_verify_symmetry(tmp_path):

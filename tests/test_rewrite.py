@@ -10,6 +10,7 @@ from rwspn import (
     System,
     Transition,
     TransitionTag,
+    all_rewrites,
     apply_assignment,
     build_npl_sys,
     faulty_sys,
@@ -20,7 +21,6 @@ from rwspn import (
     production_rules,
     random_admissible_assignment,
     rule_app,
-    rule_exe,
     to_augmented,
 )
 
@@ -83,10 +83,10 @@ def test_r1_does_not_transfer_fault_token():
 def test_rule_exe_single_match_rate():
     r1, _ = production_rules()
     s = faulted_deadlocked_pair()
-    targets = rule_exe(r1, s)
+    targets = all_rewrites(s, (r1,))
     assert len(targets) == 1
-    ((target, rate),) = targets.items()
-    assert rate == r1.rate == 0.005
+    ((target, per_rule),) = targets.items()
+    assert per_rule == {"r1": r1.rate} and r1.rate == 0.005
     assert target == normalize(rule_app(r1, s)[0][1])
 
 
@@ -105,9 +105,9 @@ def test_rule_exe_aggregates_symmetric_matches():
     s = System(net, marking)
     apps = rule_app(r1, s)
     assert len(apps) == 2
-    targets = rule_exe(r1, s)
+    targets = all_rewrites(s, (r1,))
     assert len(targets) == 1
-    assert list(targets.values()) == [pytest.approx(2 * 0.005)]
+    assert list(targets.values()) == [{"r1": pytest.approx(2 * 0.005)}]
 
 
 def test_rule_rates():
@@ -145,7 +145,8 @@ def test_fire_agg_deadlocked_empty():
     ts = quotient_ts(1)
     final = ts.states[ts.final_states()[0]]
     assert fire_agg(final) == {}
-    assert to_augmented(final, production_rules()).total_rate == 0.0
+    aug = to_augmented(final, production_rules())
+    assert total_rate(aug.firing_targets) + total_rate(aug.rewrite_targets) == 0.0
 
 
 def test_fire_agg_single_transition():
@@ -161,18 +162,32 @@ def test_to_augmented_initial():
     aug = to_augmented(s, rules)
     assert aug.rewrite_targets == {}
     assert len(aug.firing_targets) == 2
-    assert aug.total_rate == pytest.approx(1.0 + 0.004)
+    total = total_rate(aug.firing_targets) + total_rate(aug.rewrite_targets)
+    assert total == pytest.approx(1.0 + 0.004)
 
 
-def test_total_rate_additivity():
+def total_rate(targets: dict) -> float:
+    return sum(r for per in targets.values() for r in per.values())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_to_augmented_agrees_with_explore(n):
+    # the augmented form of every quotient state gives exactly its out-edges
     rules = production_rules()
-    ts = quotient_ts(2)
-    rng = random.Random(2)
-    for s in rng.sample(ts.states, 40):
+    ts = quotient_ts(n)
+    index = {s: i for i, s in enumerate(ts.states)}
+    out_edges = [{} for _ in ts.states]
+    for src, dst, label, rate in ts.edges:
+        out_edges[src][(dst, label)] = rate
+    for i, s in enumerate(ts.states):
         aug = to_augmented(s, rules)
-        firing = sum(r for per in aug.firing_targets.values() for r in per.values())
-        rewrites = sum(r for per in aug.rewrite_targets.values() for r in per.values())
-        assert aug.total_rate == pytest.approx(firing + rewrites)
+        expected = {}
+        targets = [(System(s.net, m), per) for m, per in aug.firing_targets.items()]
+        for target, per in targets + list(aug.rewrite_targets.items()):
+            for label, rate in per.items():
+                key = (index[target], label)
+                expected[key] = expected.get(key, 0.0) + rate
+        assert out_edges[i] == expected
 
 
 def test_match_count_consistency():
@@ -181,8 +196,8 @@ def test_match_count_consistency():
     for s in ts.states:
         for rule in rules:
             matches = len(rule.matcher(s))
-            classes = rule_exe(rule, s)
-            back = sum(rate / rule.rate for rate in classes.values())
+            classes = all_rewrites(s, (rule,))
+            back = sum(per[rule.tag] / rule.rate for per in classes.values())
             assert round(back) == matches
 
 

@@ -6,6 +6,7 @@ from rwspn import (
     Net,
     System,
     Transition,
+    TransitionSystem,
     TransitionTag,
     build_npl_sys,
     explore,
@@ -125,6 +126,20 @@ def test_final_classes_are_normalize_image_of_ordinary_finals():
         part = quotient_partition(ordinary, quotient)
         image = {part[i] for i in ordinary.final_states()}
         assert image == set(quotient.final_states())
+
+
+def test_quotient_partition_rejects_mismatched_systems():
+    # an ordinary state outside the quotient is named by its index
+    with pytest.raises(ValueError, match="ordinary state 0 is not in the quotient"):
+        quotient_partition(ordinary_ts(2), quotient_ts(1))
+    # a quotient state that no ordinary state reaches breaks the cover
+    quotient = quotient_ts(1)
+    extra = TransitionSystem(
+        mode="quotient", states=[*quotient.states, quotient_ts(2).states[0]], edges=[],
+        levels=[*quotient.levels, 0],
+    )
+    with pytest.raises(ValueError, match="does not cover"):
+        quotient_partition(ordinary_ts(1), extra)
 
 
 def test_exports_roundtrip_shape(tmp_path):
