@@ -14,6 +14,7 @@ import numpy as np
 from .canon import brute_force_normal, normalize
 from .ctmc import (
     Generator,
+    _check_eps,
     build_generator,
     check_strong_lumpability,
     lump_generator,
@@ -71,6 +72,11 @@ def cmd_explore(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    try:
+        _check_eps(args.eps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     system = build_npl_sys(args.n, args.k, args.m)
     ts = explore(system, _rules_for(args), mode="quotient", max_states=args.budget)
     gen = build_generator(ts)

@@ -3,13 +3,15 @@ uniformization, and the throughput/reliability measures."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
+from scipy.sparse._sparsetools import csr_matvec
+from scipy.special import pdtr, pdtrc, pdtrik
 
 from .statespace import TransitionSystem
 
@@ -174,8 +176,26 @@ def _poisson_window(mu: float, eps: float) -> tuple[int, int]:
     return left, right
 
 
-def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
-    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+def _poisson_weights(mu: float, left: int, right: int) -> np.ndarray:
+    """Poisson(mu) weights of ``left..right``, normalized to sum to 1.
+
+    Fox–Glynn's recurrence from 1 at the mode: ·k/mu going down, ·mu/(k+1)
+    going up, so no factor exceeds 1.  The rounding error grows with the
+    distance from the mode, not with mu as in exp(k log mu - log k! - mu),
+    and the weights are off the pmf in L1 by the mass outside the window.
+    """
+    mode = min(max(int(mu), left), right)
+    below = np.cumprod(np.arange(mode, left, -1) / mu)[::-1]
+    above = np.cumprod(mu / np.arange(mode + 1, right + 1))
+    weights = np.concatenate((below, [1.0], above))
+    return weights / weights.sum()
+
+
+def _check_eps(eps: float) -> None:
+    """Reject an accuracy that ``transient`` cannot honor."""
+    # at or below 2**-54, 1 - eps rounds to 1 and the window has no right end
+    if not 2.0**-54 < eps < 1:
+        raise ValueError(f"eps must lie in (2**-54, 1), got {eps!r}")
 
 
 def transient(
@@ -189,13 +209,16 @@ def transient(
     """Transient distribution pi0 * exp(Q t) by uniformization.
 
     With P = I + Q / Λ, Λ = 1.02 × the largest exit rate and mu = Λt, the
-    result is the sum of Poisson(mu)[k] · pi0 P^k over the Fox–Glynn window
-    ``left..right`` of ``_poisson_window``.  Less than ``eps`` of Poisson mass
-    lies outside the window, which bounds the truncation error in L1 by
-    ``eps``; the result is then clipped to nonnegative and renormalized.  The mat-vecs below
-    ``left`` still run, but add nothing to the sum.  ``details`` receives
-    ``raw_mass`` (before renormalization) and ``terms``, the number of
-    mat-vecs plus one.
+    result is the sum of w[k] · pi0 P^k over the Fox–Glynn window
+    ``left..right`` of ``_poisson_window``, with the Poisson(mu) weights w of
+    ``_poisson_weights``.  The mass δ outside the window is below ``eps``
+    and the weights are within δ of the pmf in L1, so the result is within
+    2δ in L1; it is then clipped to nonnegative and renormalized.  The
+    mat-vecs below ``left`` still run, but add nothing to the sum.
+    ``details`` receives ``raw_mass`` (before renormalization; it differs
+    from 1 by the mat-vecs' rounding drift) and ``terms``, the number of
+    mat-vecs plus one.  ``t`` must be finite and nonnegative and ``eps`` in
+    (2**-54, 1), else ``ValueError``.
 
     Absorbed-mass shortcut: if the mass m of pi0 on states with a nonzero
     exit rate is at most eps/2, pi0 is returned unchanged, with ``terms`` 0.
@@ -203,10 +226,9 @@ def transient(
     and m - g after, moves by at most 2m - g, so the L1 error is at most
     2m <= eps.  A chain without absorbing states never takes the shortcut.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    _check_eps(eps)
     pi = np.array(pi0, dtype=np.float64)
     if pi.shape != (gen.n,):
         raise ValueError(f"pi0 must have length {gen.n}")
@@ -224,14 +246,19 @@ def transient(
     if gen._uniformized is None:
         gen._uniformized = (sp.eye(gen.n, format="csr") + gen.matrix / lam).T.tocsr()
     pt = gen._uniformized
-    weights = _poisson_pmf(np.arange(left, right + 1), mu).tolist()
-    vec = pi
-    for _ in range(left):
-        vec = pt @ vec
-    acc = weights[0] * vec
-    for w in weights[1:]:
-        vec = pt @ vec
-        acc += w * vec
+    weights = _poisson_weights(mu, left, right).tolist()
+    # pt @ x through the kernel that ``@`` ends in, on two preallocated
+    # vectors that swap roles; the kernel adds into y, so y is zeroed first
+    csr = (gen.n, gen.n, pt.indptr, pt.indices, pt.data)
+    x, y = pi, np.empty_like(pi)
+    acc = np.zeros_like(pi)
+    for k in range(right + 1):
+        if k:
+            y.fill(0.0)
+            csr_matvec(*csr, x, y)
+            x, y = y, x
+        if k >= left:
+            acc += weights[k - left] * x
     raw_mass = float(acc.sum())
     if details is not None:
         details.update(raw_mass=raw_mass, terms=right + 1)

@@ -68,6 +68,16 @@ def test_solve_writes_measures(tmp_path, capsys):
     assert (out / "generator.coo").exists()
 
 
+@pytest.mark.parametrize("eps", ["0", "nan", "inf", "1e-17", "2"])
+def test_solve_rejects_eps_it_cannot_honor(tmp_path, capsys, eps):
+    out = tmp_path / "se"
+    assert main(["solve", "--n", "1", "--eps", eps, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eps must lie in (2**-54, 1)")
+    assert not out.exists()
+
+
 def test_solve_rejects_bad_grid(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--n", "1", "--grid", "10:1:5", "--out", str(tmp_path)])

@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,7 +28,7 @@ from rwspn import (
     throughput,
     transient,
 )
-from rwspn.ctmc import _LEFT_SHARE, _poisson_pmf, _poisson_window
+from rwspn.ctmc import _LEFT_SHARE, _poisson_weights, _poisson_window
 from rwspn.statespace import TransitionSystem
 
 from conftest import ordinary_ts, quotient_ts
@@ -247,12 +248,26 @@ def test_transient_absorbed_mass_shortcut():
 MU_SWEEP = np.geomspace(0.5, 48_000, 200)
 
 
+def _l1_from_poisson(weights, mu, left):
+    """L1 distance of ``weights`` on ``left, left + 1, ...`` from the
+    Poisson(mu) pmf, at 40 digits."""
+    with mpmath.workdps(40):
+        mu = mpmath.mpf(mu)
+        p = mpmath.exp(left * mpmath.log(mu) - mu - mpmath.loggamma(left + 1))
+        dist = mpmath.mpf(0)
+        for k, w in enumerate(weights, start=left):
+            dist += abs(mpmath.mpf(w) - p)
+            p = p * mu / (k + 1)
+        return float(dist)
+
+
 @pytest.mark.parametrize("eps", [1e-9, 1e-12])
 def test_poisson_window_matches_scipy_stats(eps):
     for mu in MU_SWEEP:
         left, right = _poisson_window(mu, eps)
-        k = np.arange(left, right + 1)
-        assert np.array_equal(_poisson_pmf(k, mu), poisson.pmf(k, mu)), mu
+        # the weights are within eps of the pmf: off by the mass outside
+        weights = _poisson_weights(mu, left, right)
+        assert _l1_from_poisson(weights.tolist(), mu, left) < eps, mu
         # left is the largest point with P(K < left) <= share * eps
         left_mass = poisson.cdf(left - 1, mu)
         assert left_mass <= _LEFT_SHARE * eps < poisson.cdf(left, mu), mu
@@ -286,10 +301,61 @@ def test_transient_budget():
 
 def test_transient_validates_inputs():
     gen = two_state_chain()
-    with pytest.raises(ValueError):
-        transient(gen, np.array([1.0, 0.0]), -1.0)
+    for t in (-1.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            transient(gen, np.array([1.0, 0.0]), t)
     with pytest.raises(ValueError):
         transient(gen, np.array([1.0]), 1.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf, 1.0, 2.0, 1e-17, 2.0**-54])
+def test_transient_rejects_eps_it_cannot_honor(eps):
+    gen = two_state_chain()
+    for pi0 in ([1.0, 0.0], [0.0, 1.0]):  # the second takes the absorbed-mass shortcut
+        with pytest.raises(ValueError, match=r"eps must lie in \(2\*\*-54, 1\)"):
+            transient(gen, np.array(pi0), 1.0, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [6e-17, 0.5])
+def test_transient_accepts_eps_at_the_ends_of_its_range(eps):
+    # the result is within 2 eps in L1: eps outside the window, and at most
+    # eps more inside it from normalizing the weights
+    pi = transient(two_state_chain(lam=1.0), np.array([1.0, 0.0]), 7.0, eps=eps)
+    assert 2 * abs(pi[0] - math.exp(-7.0)) <= 2 * eps + 1e-16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transient_matvec_is_bit_identical_to_matmul(n):
+    # reference: the per-term ``pt @ vec`` loop, on the same weights
+    gen = build_generator(quotient_ts(n))
+    pi0 = np.zeros(gen.n)
+    pi0[0] = 1.0
+    eps = 1e-12
+    t = 300.0 / gen.max_exit_rate  # left > 0, so both kinds of term run
+    transient(gen, pi0, t, eps=eps)  # builds gen._uniformized
+    pt = gen._uniformized
+    mu = 1.02 * gen.max_exit_rate * t
+    left, right = _poisson_window(mu, eps)
+    assert left > 0
+    weights = _poisson_weights(mu, left, right).tolist()
+    vec = pi0
+    for _ in range(left):
+        vec = pt @ vec
+    acc = weights[0] * vec
+    for w in weights[1:]:
+        vec = pt @ vec
+        acc += w * vec
+    expected = np.clip(acc, 0.0, None) / np.clip(acc, 0.0, None).sum()
+    wide = pt.copy()
+    wide.indices = wide.indices.astype(np.int64)
+    wide.indptr = wide.indptr.astype(np.int64)
+    for matrix in (pt, wide):
+        gen._uniformized = matrix
+        details = {}
+        got = transient(gen, pi0, t, eps=eps, details=details)
+        assert details == {"raw_mass": float(acc.sum()), "terms": right + 1}
+        assert got.tobytes() == expected.tobytes()
+    assert gen._uniformized.indices.dtype == np.int64
 
 
 def test_throughput_simple():

@@ -4,6 +4,11 @@ Any change to exploration, canonicalization or generator assembly that
 alters a byte of ``states.txt``, ``edges.txt`` or ``generator.coo`` for
 these models fails here.  The digests were taken from the explorer that
 fired and canonicalized on ``Bag`` markings, before the integer form.
+
+The ``solve`` cases pin ``measures.csv`` and ``generator.coo`` of
+``rwspn solve --n N [--grid G --eps E]``; their digests were taken from the
+uniformization that multiplied through ``pt @ vec`` with weights from
+``exp(xlogy(k, mu) - gammaln(k + 1) - mu)``.
 """
 
 import hashlib
@@ -11,10 +16,12 @@ import hashlib
 import pytest
 
 from rwspn import build_generator, build_npl_sys, explore
+from rwspn.cli import main
 
 from conftest import ordinary_ts, quotient_ts
 
-# (mode, n, k, m) -> SHA-256 of states.txt, edges.txt, generator.coo
+# (mode, n, k, m) -> SHA-256 of states.txt, edges.txt, generator.coo;
+# ("solve", n[, grid, eps]) -> SHA-256 of measures.csv, generator.coo
 GOLDEN = {
     ("quotient", 1, 2, 2): (
         "9d077dab857f94a05e5631bd28937a371d926f10bf1c836f15cbbd1ae0d45ced",
@@ -47,6 +54,19 @@ GOLDEN = {
         "039e62b88f479f6ff045cd8f4182d84b92294163b4a1f75fc1a613f5cd68c7d4",
         "5aed9f6978699efd1e3431b2664bd8899607a563d3d422a6ec18c5f9417b3375",
     ),
+    # solve at the default grid 1:10000:60 and eps 1e-9
+    ("solve", 1): (
+        "6586835deda9b30ae03e0ded48eb9c280a51fd6c4cbf41bc88c27a39c23697b4",
+        "4000af19610cbb10bdc3a65d04c9540878f0725f5b25c69c64b8840b3bbdeaf4",
+    ),
+    ("solve", 2): (
+        "40d1e9ecb99071603429910fcd17a2ee2373bb07acf2f76b4d775fce6a9da0af",
+        "53b49cd1f32826129a6e82ab06c84fb48cafc7d4f41f88f1e343798c463e66dc",
+    ),
+    ("solve", 2, "1:100000:100", "1e-12"): (
+        "c68de92169789608648358749bfdcdffd8a0319e6e58116f8171b58981f1f4d0",
+        "53b49cd1f32826129a6e82ab06c84fb48cafc7d4f41f88f1e343798c463e66dc",
+    ),
 }
 
 
@@ -56,14 +76,24 @@ def _explored(mode, n, k, m):
     return explore(build_npl_sys(n, k, m), (), mode=mode)
 
 
+def _write_exports(case, out):
+    """Write the files of ``case`` into ``out`` and return their names."""
+    if case[0] == "solve":
+        _, n, *grid_eps = case
+        argv = ["solve", "--n", str(n), "--out", str(out)]
+        if grid_eps:
+            argv += ["--grid", grid_eps[0], "--eps", grid_eps[1]]
+        assert main(argv) == 0
+        return ("measures.csv", "generator.coo")
+    ts = _explored(*case)
+    ts.write_states(out / "states.txt")
+    ts.write_edges(out / "edges.txt")
+    build_generator(ts).write_coo(out / "generator.coo")
+    return ("states.txt", "edges.txt", "generator.coo")
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
 def test_export_digests(case, tmp_path):
-    ts = _explored(*case)
-    ts.write_states(tmp_path / "states.txt")
-    ts.write_edges(tmp_path / "edges.txt")
-    build_generator(ts).write_coo(tmp_path / "generator.coo")
-    got = tuple(
-        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("states.txt", "edges.txt", "generator.coo")
-    )
+    names = _write_exports(case, tmp_path)
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
     assert got == GOLDEN[case]
