@@ -47,7 +47,9 @@ from .rewrite import (
     AugmentedState,
     InjectivityError,
     RewriteRule,
+    RuleSite,
     all_rewrites,
+    compile_site,
     fire_agg,
     rule_app,
     to_augmented,

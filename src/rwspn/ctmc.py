@@ -218,7 +218,9 @@ def transient(
     ``details`` receives ``raw_mass`` (before renormalization; it differs
     from 1 by the mat-vecs' rounding drift) and ``terms``, the number of
     mat-vecs plus one.  ``t`` must be finite and nonnegative and ``eps`` in
-    (2**-54, 1), else ``ValueError``.
+    (2**-54, 1), else ``ValueError``.  ``TransientBudgetError`` is raised
+    when mu >= ``max_terms`` or the window needs more than ``max_terms``
+    terms.
 
     Absorbed-mass shortcut: if the mass m of pi0 on states with a nonzero
     exit rate is at most eps/2, pi0 is returned unchanged, with ``terms`` 0.
@@ -238,6 +240,12 @@ def transient(
         return pi
     lam = 1.02 * gen.max_exit_rate
     mu = lam * t
+    # the window reaches about mu, and the Poisson quantiles are NaN for
+    # mu past about 1e12, so a huge mu is refused before they are asked
+    if mu >= max_terms:
+        raise TransientBudgetError(
+            f"mu = {mu!r} needs about as many uniformization terms, budget is {max_terms}"
+        )
     left, right = _poisson_window(mu, eps)
     if right + 1 > max_terms:
         raise TransientBudgetError(
@@ -251,14 +259,16 @@ def transient(
     # vectors that swap roles; the kernel adds into y, so y is zeroed first
     csr = (gen.n, gen.n, pt.indptr, pt.indices, pt.data)
     x, y = pi, np.empty_like(pi)
-    acc = np.zeros_like(pi)
+    # each window term is w * x in ``term``, then added into ``acc`` in place
+    acc, term = np.zeros_like(pi), np.empty_like(pi)
     for k in range(right + 1):
         if k:
             y.fill(0.0)
             csr_matvec(*csr, x, y)
             x, y = y, x
         if k >= left:
-            acc += weights[k - left] * x
+            np.multiply(x, weights[k - left], out=term)
+            np.add(acc, term, out=acc)
     raw_mass = float(acc.sum())
     if details is not None:
         details.update(raw_mass=raw_mass, terms=right + 1)

@@ -20,11 +20,10 @@ from .algebra import (
     min_index_not_in,
     repl_share,
     set_mark,
-    subag,
     subnet_by_pair,
 )
-from .net import Net, System, Transition, TransitionTag, dead, place
-from .rewrite import Match, RewriteRule
+from .net import Net, Place, System, Transition, TransitionTag, place
+from .rewrite import RewriteRule, RuleSite, compile_site
 
 LOAD_RATE = 0.5
 LINE_RATE = 0.1
@@ -114,27 +113,32 @@ def faulty_pl(net: Net, i: int) -> Net:
     return sub
 
 
-def _r1_matches(system: System) -> tuple[Match, ...]:
-    net, marking = system.net, system.marking
-    out = []
-    for pl in marking.elements():
+def _r1_sites(net: Net) -> list[RuleSite]:
+    """One site per fault place of a nominal PL.
+
+    The site consumes the fault token and needs the PL dead.  The result
+    detaches the PL and joins a fresh degraded PL under the least unused
+    "fPL" index, onto whose line the PL's unprocessed and processed items
+    move; the PL's other tokens vanish with it.
+    """
+    j = min_index_not_in(net, "fPL")
+    fresh = faulty_sys(j)
+    # the places that the ``set_mark`` patterns ("w", "fPL") and ("a", "fPL") name
+    patterns = (("w", "fPL"), ("a", "fPL"))
+    into = {q.pairs[0][0]: q for q in fresh.net.places() if q.tags() in patterns}
+    sites = []
+    for pl in net.places():
         pairs = pl.pairs
         if pairs[0][0] == "f" and pairs[-1][0] == "PL":
             i = pairs[-1][1]
-            if dead(subnet_by_pair(net, ("PL", i)), marking):
-                out.append((pl, i))
-    return tuple(out)
+            sub = nom_pl(net, i)
+            target = join(System(detach(net, sub)), fresh)
 
+            def dest(q: Place, i=i) -> Place | None:
+                return into.get(q.pairs[0][0]) if ("PL", i) in q.pairs else q
 
-def _r1_apply(system: System, match: Match) -> System:
-    f_token, i = match
-    rest = system.marking - Bag({f_token: 1})
-    component = subag(rest, ("PL", i))
-    remnant = System(detach(system.net, nom_pl(system.net, i)), rest - component)
-    fresh = faulty_sys(min_index_not_in(system.net, "fPL"))
-    degraded = set_mark(fresh, ("w", "fPL"), match_tag(component, "w").size)
-    degraded = set_mark(degraded, ("a", "fPL"), match_tag(component, "a").size)
-    return join(remnant, degraded)
+            sites.append(compile_site(net, (pl, i), Bag({pl: 1}), sub, target, dest))
+    return sites
 
 
 def rule_r1() -> RewriteRule:
@@ -145,29 +149,27 @@ def rule_r1() -> RewriteRule:
     re-canonicalized as part of the rule itself, which shows up in
     ordinary-mode state spaces.
     """
-    return RewriteRule("r1", RECONFIGURE_RATE, _r1_matches, _r1_apply, normalize_result=True)
+    return RewriteRule("r1", RECONFIGURE_RATE, _r1_sites, normalize_result=True)
 
 
-def _r2_matches(system: System) -> tuple[Match, ...]:
-    net, marking = system.net, system.marking
-    out = []
-    for pl in marking.elements():
+def _r2_sites(net: Net) -> list[RuleSite]:
+    """One site per fault place of a degraded PL that is not the last
+    component: consume the fault token, need the PL dead, detach it and
+    return its remaining tokens to the warehouse."""
+    sites = []
+    for pl in net.places():
         pairs = pl.pairs
         if pairs[0][0] == "f" and pairs[-1][0] == "fPL":
             i = pairs[-1][1]
-            sub = subnet_by_pair(net, ("fPL", i))
-            if len(detach(net, sub)) and dead(sub, marking):
-                out.append((pl, i))
-    return tuple(out)
+            sub = faulty_pl(net, i)
+            remnant = detach(net, sub)
+            if len(remnant):
 
+                def dest(q: Place, i=i) -> Place:
+                    return _S if ("fPL", i) in q.pairs else q
 
-def _r2_apply(system: System, match: Match) -> System:
-    f_token, i = match
-    rest = system.marking - Bag({f_token: 1})
-    component = subag(rest, ("fPL", i))
-    remnant_net = detach(system.net, faulty_pl(system.net, i))
-    marking = (rest - component).with_count(_S, system.marking[_S] + component.size)
-    return System(remnant_net, marking)
+                sites.append(compile_site(net, (pl, i), Bag({pl: 1}), sub, System(remnant), dest))
+    return sites
 
 
 def rule_r2() -> RewriteRule:
@@ -175,7 +177,7 @@ def rule_r2() -> RewriteRule:
 
     Its leftover items are returned to the warehouse.
     """
-    return RewriteRule("r2", REMOVE_RATE, _r2_matches, _r2_apply)
+    return RewriteRule("r2", REMOVE_RATE, _r2_sites)
 
 
 def production_rules(k: int = 2) -> tuple[RewriteRule, ...]:

@@ -87,8 +87,9 @@ def explore(
     The BFS holds each state as its net and an int tuple over the net's
     compiled form (``Net.compiled``) and expands it with the successor
     function in ``rewrite``, the same one that ``to_augmented`` reads; it
-    fires on the tuples, decodes a state to a ``System`` for the rules, and
-    decodes every state once more, after the BFS, for the result.
+    fires and applies the rules' compiled sites on the tuples, normalizes
+    each distinct raw target once per call, and decodes every state to a
+    ``System`` once, after the BFS, for the result.
     """
     if mode not in ("quotient", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -96,6 +97,7 @@ def explore(
     start = (initial.net, initial.net.compiled().encode(initial.marking))
     if quotient:
         start = normalize_vector(*start)
+    normal: dict[State, State] = {}  # raw state -> normal form, for this call
 
     if max_states is not None and max_states < 1:
         raise BudgetExceededError(1, 0, max_states)
@@ -110,7 +112,8 @@ def explore(
         next_frontier: list[int] = []
         for src in frontier:
             net, vec = states[src]
-            for (target, label), rate in rewrite._successors(net, vec, rules, quotient).items():
+            successors = rewrite._successors(net, vec, rules, quotient, normal)
+            for (target, label), rate in successors.items():
                 tid = ids.get(target)
                 if tid is None:
                     tid = len(states)
@@ -123,7 +126,7 @@ def explore(
                 edges.append((src, tid, label, rate))
         frontier = next_frontier
     # decode in place, so that one copy of the state list is alive at a time
-    del ids
+    del ids, normal
     for i, (net, vec) in enumerate(states):
         states[i] = System.decoded(net, vec)
 

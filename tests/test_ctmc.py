@@ -299,6 +299,15 @@ def test_transient_budget():
         transient(gen, np.array([1.0, 0.0]), 1e6, eps=1e-12, max_terms=100)
 
 
+@pytest.mark.parametrize("t", [2e6 / 1.02, 1e12, 1e300])
+def test_transient_budget_refuses_huge_mu_before_the_window(t):
+    # the Poisson quantiles are NaN past mu of about 1e12; mu = max_terms
+    # is refused too, since the window reaches about mu
+    gen = Generator(2, {(0, 1): 1.0})
+    with pytest.raises(TransientBudgetError, match="budget is 2000000"):
+        transient(gen, [1.0, 0.0], t)
+
+
 def test_transient_validates_inputs():
     gen = two_state_chain()
     for t in (-1.0, -math.inf, math.inf, math.nan):

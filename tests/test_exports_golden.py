@@ -3,7 +3,8 @@
 Any change to exploration, canonicalization or generator assembly that
 alters a byte of ``states.txt``, ``edges.txt`` or ``generator.coo`` for
 these models fails here.  The digests were taken from the explorer that
-fired and canonicalized on ``Bag`` markings, before the integer form.
+fired and canonicalized on ``Bag`` markings, before the integer form; the ordinary N=3 digests were taken from the
+explorer whose rules still matched and applied on decoded systems.
 
 The ``solve`` cases pin ``measures.csv`` and ``generator.coo`` of
 ``rwspn solve --n N [--grid G --eps E]``; their digests were taken from the
@@ -47,6 +48,12 @@ GOLDEN = {
         "6152ac5860c0f43ccb0cdd47526994053ace5a96618f46a5f66644588970e585",
         "9b317aec64edcc70aedfbf7589bb02e0c4788f4e377ff5d1daf6149adb48e5e4",
         "ea91d210e7cdc9c00f8adc2089283c7d9bfa395f21658a702fc73920c20053d4",
+    ),
+    # the mode with the most rule matches: every r1 result is normalized
+    ("ordinary", 3, 2, 2): (
+        "47231f5296f74ae4cb2ba06a06e5d1f7dca901e1825de85d8dbd21533118cdbb",
+        "b382c245ea1c5b34e937138ae67af31886e83a352b5ca0b94d4cad6fe148d6c1",
+        "e7c643ff44f4afaa005899dc11893e3ce687ff39afa4fa3de548fc0b34708473",
     ),
     # firing only: the rules are defined for k = 2
     ("ordinary", 1, 3, 3): (

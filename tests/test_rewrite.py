@@ -13,6 +13,7 @@ from rwspn import (
     all_rewrites,
     apply_assignment,
     build_npl_sys,
+    compile_site,
     faulty_sys,
     fire_agg,
     join,
@@ -119,11 +120,14 @@ def test_rule_rates():
 def test_injectivity_violation_detected():
     sink = place(("x", 0))
     net = Net((Transition(Bag({sink: 1}), Bag({sink: 1}), Bag(), TransitionTag("t")),))
+    # two sites that need nothing and both mark the sink twice
     bad = RewriteRule(
         "bad",
         1.0,
-        matcher=lambda s: ((0,), (1,)),
-        applier=lambda s, m: System(s.net, Bag({sink: 2})),
+        sites=lambda n: [
+            compile_site(n, (m,), Bag(), Net(), System(n, Bag({sink: 2})), lambda pl: None)
+            for m in (0, 1)
+        ],
     )
     with pytest.raises(InjectivityError):
         rule_app(bad, System(net, Bag({sink: 1})))
@@ -195,7 +199,7 @@ def test_match_count_consistency():
     ts = quotient_ts(2)
     for s in ts.states:
         for rule in rules:
-            matches = len(rule.matcher(s))
+            matches = len(rule_app(rule, s))
             classes = all_rewrites(s, (rule,))
             back = sum(per[rule.tag] / rule.rate for per in classes.values())
             assert round(back) == matches

@@ -1,0 +1,113 @@
+"""Oracle for the compiled reconfiguration rules.
+
+The matchers and appliers below are the object-level form of r1 and r2:
+they walk the marking, test deadness with ``dead`` and build the result
+with ``detach``, ``join`` and ``set_mark`` on every match.  ``rule_app``
+over the compiled sites must give the same matches in the same order and
+the same raw systems.
+"""
+
+import pytest
+
+from rwspn import (
+    Bag,
+    Net,
+    RewriteRule,
+    System,
+    Transition,
+    TransitionTag,
+    compile_site,
+    dead,
+    detach,
+    faulty_pl,
+    faulty_sys,
+    join,
+    match_tag,
+    min_index_not_in,
+    nom_pl,
+    place,
+    production_rules,
+    rule_app,
+    set_mark,
+    subag,
+    subnet_by_pair,
+)
+
+from conftest import ordinary_ts, quotient_ts
+
+S = place(("s", 0))
+
+
+def r1_matches(system):
+    net, marking = system.net, system.marking
+    out = []
+    for pl in marking.elements():
+        pairs = pl.pairs
+        if pairs[0][0] == "f" and pairs[-1][0] == "PL":
+            i = pairs[-1][1]
+            if dead(subnet_by_pair(net, ("PL", i)), marking):
+                out.append((pl, i))
+    return out
+
+
+def r1_apply(system, match):
+    f_token, i = match
+    rest = system.marking - Bag({f_token: 1})
+    component = subag(rest, ("PL", i))
+    remnant = System(detach(system.net, nom_pl(system.net, i)), rest - component)
+    fresh = faulty_sys(min_index_not_in(system.net, "fPL"))
+    degraded = set_mark(fresh, ("w", "fPL"), match_tag(component, "w").size)
+    degraded = set_mark(degraded, ("a", "fPL"), match_tag(component, "a").size)
+    return join(remnant, degraded)
+
+
+def r2_matches(system):
+    net, marking = system.net, system.marking
+    out = []
+    for pl in marking.elements():
+        pairs = pl.pairs
+        if pairs[0][0] == "f" and pairs[-1][0] == "fPL":
+            i = pairs[-1][1]
+            sub = subnet_by_pair(net, ("fPL", i))
+            if len(detach(net, sub)) and dead(sub, marking):
+                out.append((pl, i))
+    return out
+
+
+def r2_apply(system, match):
+    f_token, i = match
+    rest = system.marking - Bag({f_token: 1})
+    component = subag(rest, ("fPL", i))
+    remnant_net = detach(system.net, faulty_pl(system.net, i))
+    marking = (rest - component).with_count(S, system.marking[S] + component.size)
+    return System(remnant_net, marking)
+
+
+@pytest.mark.parametrize(
+    "explored,n", [(ordinary_ts, 2), (quotient_ts, 3)], ids=["ordinary-2", "quotient-3"]
+)
+def test_compiled_rules_match_object_level_rules(explored, n):
+    r1, r2 = production_rules()
+    applied = {"r1": 0, "r2": 0}
+    for s in explored(n).states:
+        for rule, matches, apply in ((r1, r1_matches, r1_apply), (r2, r2_matches, r2_apply)):
+            expected = tuple((m, apply(s, m)) for m in matches(s))
+            # System equality is net identity plus marking equality
+            assert rule_app(rule, s) == expected
+            applied[rule.tag] += len(expected)
+    assert min(applied.values()) > 0
+
+
+def test_token_on_a_place_absent_from_the_target_raises():
+    a, b = place(("a", 0)), place(("b", 0))
+    net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("t")),))
+    only_b = Net((Transition(Bag({b: 1}), Bag({b: 1}), Bag(), TransitionTag("u")),))
+    # every token stays on its place, but the target net has no place a
+    keep = RewriteRule(
+        "keep",
+        1.0,
+        sites=lambda n: [compile_site(n, (), Bag(), Net(), System(only_b), lambda pl: pl)],
+    )
+    assert rule_app(keep, System(net, Bag({b: 1})))[0][1] == System(only_b, Bag({b: 1}))
+    with pytest.raises(ValueError, match="absent from the target"):
+        rule_app(keep, System(net, Bag({a: 1})))

@@ -15,7 +15,7 @@ from rwspn import (
     production_rules,
     quotient_partition,
 )
-from rwspn.rewrite import RewriteRule
+from rwspn.rewrite import RewriteRule, compile_site
 
 from conftest import ordinary_ts, quotient_ts
 
@@ -68,11 +68,13 @@ def test_firing_and_rule_with_equal_tag_and_target_merge(mode):
     # transition "x" and rule "x" both move the token from a to b
     a, b = place(("a", 0)), place(("b", 0))
     net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("x", rate=2.0)),))
+    # rule "x" takes the token on a, drops every other token and marks b
     rule = RewriteRule(
         "x",
         0.5,
-        matcher=lambda s: ((0,),) if s.marking[a] else (),
-        applier=lambda s, m: System(s.net, Bag({b: 1})),
+        sites=lambda n: [
+            compile_site(n, (0,), Bag({a: 1}), Net(), System(n, Bag({b: 1})), lambda pl: None)
+        ],
     )
     ts = explore(System(net, Bag({a: 1})), (rule,), mode=mode)
     assert len(ts) == 2
