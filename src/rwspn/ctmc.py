@@ -40,18 +40,32 @@ class Generator:
     """
 
     def __init__(self, n: int, offdiag: dict[tuple[int, int], float]):
-        self.n = n
         rows = np.fromiter((i for i, _ in offdiag), dtype=np.int64, count=len(offdiag))
         cols = np.fromiter((j for _, j in offdiag), dtype=np.int64, count=len(offdiag))
         data = np.fromiter(offdiag.values(), dtype=np.float64, count=len(offdiag))
+        self._build(n, rows, cols, data)
+
+    @classmethod
+    def _from_arrays(cls, n: int, rows, cols, data) -> "Generator":
+        """From off-diagonal entries as arrays, each (row, col) at most once."""
+        self = cls.__new__(cls)
+        self._build(n, rows, cols, data)
+        return self
+
+    def _build(self, n: int, rows, cols, data) -> None:
+        data = np.asarray(data, dtype=np.float64)
         if np.any(rows == cols):
             raise ValueError("diagonal entry among the off-diagonal rates")
         if not np.all(np.isfinite(data)):
             raise ValueError("non-finite off-diagonal rate")
         if np.any(data < 0):
             raise ValueError("negative off-diagonal rate")
-        # canonical CSR: row-major, sorted indices, no duplicates (keys are unique)
-        self.offdiag = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        self.n = n
+        # canonical CSR: row-major, sorted indices, no duplicates (pairs are unique)
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self.offdiag = sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
         self.diagonal = -np.asarray(self.offdiag.sum(axis=1)).ravel()
         self.matrix = (self.offdiag + sp.diags(self.diagonal)).tocsr()
         self._live = self.diagonal != 0  # states with a nonzero exit rate
@@ -68,21 +82,40 @@ class Generator:
         return tuple(zip(rows.tolist(), m.indices.tolist(), m.data.tolist()))
 
     def write_coo(self, path) -> None:
+        m = self.offdiag
+        rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
+        # one repr per distinct rate, keyed by bit pattern since 0.0 == -0.0
+        text: dict[int, str] = {}
+        reprs = [
+            text.get(bits) or text.setdefault(bits, repr(rate))
+            for rate, bits in zip(m.data.tolist(), m.data.view(np.int64).tolist())
+        ]
         with open(path, "w") as fh:
             fh.write(f"{self.n}\n")
-            for i, j, rate in self.entries():
-                fh.write(f"{i} {j} {rate!r}\n")
+            fh.writelines(
+                f"{i} {j} {s}\n" for i, j, s in zip(rows.tolist(), m.indices.tolist(), reprs)
+            )
+
+
+def _edge_rates(ts: TransitionSystem) -> np.ndarray:
+    """The rate of every edge of ``ts``, in edge order."""
+    return np.array([rate for _label, rate in ts.kinds], dtype=np.float64)[ts.kind]
 
 
 def build_generator(ts: TransitionSystem) -> Generator:
     """Q[i, j] = total rate of the i -> j edges; self-loops cancel and are
-    dropped."""
-    acc: dict[tuple[int, int], float] = {}
-    for src, dst, _label, rate in ts.edges:
-        if src == dst:
-            continue
-        acc[(src, dst)] = acc.get((src, dst), 0.0) + rate
-    return Generator(len(ts.states), acc)
+    dropped.
+
+    The edges are sorted by (src, dst), so each run of parallel edges is
+    adjacent; ``np.bincount`` sums it in edge order.
+    """
+    keep = ts.src != ts.dst
+    src, dst, rate = ts.src[keep], ts.dst[keep], _edge_rates(ts)[keep]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    run = np.cumsum(first) - 1
+    data = np.bincount(run, weights=rate)
+    return Generator._from_arrays(len(ts), src[first], dst[first], data)
 
 
 def _class_flows(gen: Generator, partition: Sequence[int], tol: float):
@@ -277,17 +310,13 @@ def transient(
 
 
 def _tag_rates(ts: TransitionSystem, tag: str) -> np.ndarray:
-    """Total rate of the edges labeled ``tag`` leaving each state; warns
-    when no edge carries ``tag``."""
-    rates = np.zeros(len(ts.states))
-    found = False
-    for src, _dst, label, rate in ts.edges:
-        if label == tag:
-            rates[src] += rate
-            found = True
-    if not found:
+    """Total rate of the edges labeled ``tag`` leaving each state, summed in
+    edge order; warns when no edge carries ``tag``."""
+    tagged = np.array([label == tag for label, _rate in ts.kinds], dtype=bool)[ts.kind]
+    if not tagged.any():
         warnings.warn(f"no edge labeled {tag!r}; throughput is 0", stacklevel=3)
-    return rates
+        return np.zeros(len(ts))
+    return np.bincount(ts.src[tagged], weights=_edge_rates(ts)[tagged], minlength=len(ts))
 
 
 def throughput(ts: TransitionSystem, pi: Sequence[float], tag: str) -> float:
@@ -300,7 +329,7 @@ def _live_states(ts: TransitionSystem) -> np.ndarray | None:
     finals = list(ts.final_states())
     if not finals:
         return None
-    live = np.ones(len(ts.states), dtype=bool)
+    live = np.ones(len(ts), dtype=bool)
     live[finals] = False
     return live
 
@@ -354,7 +383,7 @@ def measure_series(
         raise ValueError("grid must be strictly increasing and start at t >= 0")
     rates = _tag_rates(ts, tag)
     live = _live_states(ts)
-    pi = np.zeros(len(ts.states))
+    pi = np.zeros(len(ts))
     pi[0] = 1.0
     prev = 0.0
     worst = 0.0

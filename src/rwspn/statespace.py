@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from typing import Callable
+
+import numpy as np
 
 from . import rewrite
-from .canon import normalize, normalize_vector
+from .canon import normalize_vector
 from .net import System
 from .rewrite import RewriteRule, State
 
@@ -25,47 +27,130 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-@dataclass
+class _States(Sequence):
+    """Read-only view of a transition system's states: each access decodes
+    the ``System`` of its (net, vector) pair; ``len`` decodes nothing."""
+
+    __slots__ = ("_cells",)
+
+    def __init__(self, cells: list):
+        self._cells = cells
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_decoded(cell) for cell in self._cells[i]]
+        return _decoded(self._cells[i])
+
+    def __iter__(self):
+        return map(_decoded, self._cells)
+
+
+def _decoded(cell: State | None) -> System | None:
+    return None if cell is None else System.decoded(*cell)
+
+
 class TransitionSystem:
     """Indexed state graph with rate-labeled edges.
 
     State 0 is the initial state; states are numbered by BFS level and, within
     a level, by the canonical system order, so the numbering does not depend
     on the exploration schedule.
+
+    Each state is held as its net and an int vector over ``net.compiled()``,
+    with its rendered marking; ``states`` decodes a ``System`` on access.
+    The edges are the arrays ``src``, ``dst`` and ``kind``, sorted by
+    (src, dst, label, rate); ``kind`` indexes ``kinds``, the sorted distinct
+    (label, rate) pairs.  ``edges`` lists them as (src, dst, label, rate)
+    tuples, built on first access.
+
+    The constructor takes ``System`` states (``None`` stands for a state
+    without a system) and (src, dst, label, rate) edges in any order.
     """
 
-    mode: str
-    states: list[System]
-    edges: list[Edge]
-    levels: list[int]
-    _finals: tuple | None = field(default=None, repr=False)
+    def __init__(self, mode: str, states: Sequence, edges: Sequence[Edge], levels: Sequence[int]):
+        cells = [None if s is None else (s.net, s.net.compiled().encode(s.marking)) for s in states]
+        marks = [None if c is None else c[0].compiled().render(c[1]) for c in cells]
+        kind_of: dict[tuple[str, float], int] = {}
+        flat = [
+            x for s, d, label, rate in edges
+            for x in (s, d, kind_of.setdefault((label, rate), len(kind_of)))
+        ]
+        src, dst, kind = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+        self._pack(mode, cells, marks, list(levels), src, dst, kind, list(kind_of))
+
+    def _pack(self, mode, cells, marks, levels, src, dst, kind, kinds) -> None:
+        """Store the states and the edges; ``kind`` indexes ``kinds``, the
+        distinct (label, rate) pairs in any order.  Sorts ``kinds``, then the
+        edges by (src, dst, kind); raises ``AssertionError`` on two edges
+        with the same source, target and label."""
+        by_pair = sorted(range(len(kinds)), key=kinds.__getitem__)
+        rank = np.empty(len(kinds), dtype=np.int64)
+        rank[by_pair] = np.arange(len(kinds))
+        self.kinds = tuple(kinds[i] for i in by_pair)
+        kind = rank[kind]
+        order = np.lexsort((kind, dst, src))
+        self.src, self.dst, self.kind = src[order], dst[order], kind[order]
+        ids: dict[str, int] = {}
+        labels = np.array([ids.setdefault(label, len(ids)) for label, _rate in self.kinds])
+        same = (self.src[1:] == self.src[:-1]) & (self.dst[1:] == self.dst[:-1])
+        dup = np.flatnonzero(same & (labels[self.kind[1:]] == labels[self.kind[:-1]]))
+        if len(dup):
+            i = dup[0] + 1
+            raise AssertionError(
+                f"duplicate edge {(int(self.src[i]), int(self.dst[i]), self.kinds[self.kind[i]][0])}"
+            )
+        self.mode = mode
+        self.levels = levels
+        self._cells = cells
+        self._marks = marks
+        self.states = _States(cells)
+        self._edges = None
+        self._finals = None
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._cells)
+
+    @property
+    def edges(self) -> list[Edge]:
+        if self._edges is None:
+            self._edges = [
+                (s, d) + self.kinds[k]
+                for s, d, k in zip(self.src.tolist(), self.dst.tolist(), self.kind.tolist())
+            ]
+        return self._edges
 
     def final_states(self) -> tuple[int, ...]:
         """Indices of states with no outgoing edge."""
         if self._finals is None:
-            has_out = [False] * len(self.states)
-            for src, _dst, _label, _rate in self.edges:
-                has_out[src] = True
-            self._finals = tuple(i for i, out in enumerate(has_out) if not out)
+            has_out = np.zeros(len(self), dtype=bool)
+            has_out[self.src] = True
+            self._finals = tuple(np.flatnonzero(~has_out).tolist())
         return self._finals
 
     def search_final(self, pred: Callable[[System], bool]) -> tuple[int, ...]:
-        """Final states whose system satisfies ``pred``."""
+        """Final states whose system satisfies ``pred``; only those are
+        decoded."""
         return tuple(i for i in self.final_states() if pred(self.states[i]))
 
     def write_states(self, path) -> None:
+        """One ``System.canonical()`` line per state."""
         with open(path, "w") as fh:
-            for s in self.states:
-                fh.write(s.canonical())
+            for (net, _vec), mark in zip(self._cells, self._marks):
+                fh.write(net.render())
+                fh.write("  ")
+                fh.write(mark)
                 fh.write("\n")
 
     def write_edges(self, path) -> None:
+        tails = [f" {label} {rate!r}\n" for label, rate in self.kinds]
         with open(path, "w") as fh:
-            for src, dst, label, rate in self.edges:
-                fh.write(f"{src} {dst} {label} {rate!r}\n")
+            fh.writelines(
+                f"{s} {d}{tails[k]}"
+                for s, d, k in zip(self.src.tolist(), self.dst.tolist(), self.kind.tolist())
+            )
 
 
 def explore(
@@ -87,9 +172,10 @@ def explore(
     The BFS holds each state as its net and an int tuple over the net's
     compiled form (``Net.compiled``) and expands it with the successor
     function in ``rewrite``, the same one that ``to_augmented`` reads; it
-    fires and applies the rules' compiled sites on the tuples, normalizes
-    each distinct raw target once per call, and decodes every state to a
-    ``System`` once, after the BFS, for the result.
+    fires and applies the rules' compiled sites on the tuples and
+    normalizes each distinct raw target once per call.  The result keeps
+    the tuples and the edges as arrays; no state is decoded to a
+    ``System`` unless ``TransitionSystem.states`` is read.
     """
     if mode not in ("quotient", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -101,10 +187,11 @@ def explore(
 
     if max_states is not None and max_states < 1:
         raise BudgetExceededError(1, 0, max_states)
-    states: list = [start]
+    states: list[State] = [start]
     levels: list[int] = [0]
     ids: dict[State, int] = {start: 0}
-    edges: list[Edge] = []
+    kind_of: dict[tuple[str, float], int] = {}  # (label, rate) -> kind id
+    edges: list[int] = []  # src, dst, kind id per edge, flat
     frontier = [0]
     level = 0
     while frontier:
@@ -123,35 +210,38 @@ def explore(
                     next_frontier.append(tid)
                     if max_states is not None and len(states) > max_states:
                         raise BudgetExceededError(len(states), level, max_states)
-                edges.append((src, tid, label, rate))
+                kind = kind_of.setdefault((label, rate), len(kind_of))
+                edges += (src, tid, kind)
         frontier = next_frontier
-    # decode in place, so that one copy of the state list is alive at a time
     del ids, normal
-    for i, (net, vec) in enumerate(states):
-        states[i] = System.decoded(net, vec)
 
-    # renumber: BFS level, then canonical order within a level
-    order = sorted(range(len(states)), key=lambda i: (levels[i], states[i].key))
-    remap = {old: new for new, old in enumerate(order)}
-    states = [states[i] for i in order]
-    levels = [levels[i] for i in order]
-    edges = sorted((remap[s], remap[d], lab, r) for s, d, lab, r in edges)
-    for prev, cur in zip(edges, edges[1:]):
-        if prev[:3] == cur[:3]:
-            raise AssertionError(f"duplicate edge {cur[:3]}")
-    return TransitionSystem(mode=mode, states=states, edges=edges, levels=levels)
+    # renumber: BFS level, then canonical order (``System.key``) within a
+    # level; the BFS appended by level, so ``levels`` is already in that order
+    marks = [net.compiled().render(vec) for net, vec in states]
+    order = sorted(range(len(states)), key=lambda i: (levels[i], states[i][0].render(), marks[i]))
+    remap = np.empty(len(states), dtype=np.int64)
+    remap[order] = np.arange(len(states))
+    src, dst, kind = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    del edges
+    ts = TransitionSystem.__new__(TransitionSystem)
+    ts._pack(
+        mode, [states[i] for i in order], [marks[i] for i in order], levels,
+        remap[src], remap[dst], kind, list(kind_of),
+    )
+    return ts
 
 
 def quotient_partition(ordinary: TransitionSystem, quotient: TransitionSystem) -> list[int]:
     """Map each ordinary state to the index of its normal form in the quotient.
 
     Total and surjective when both systems were explored from the same
-    initial system; raises ``ValueError`` when it is not.
+    initial system; raises ``ValueError`` when it is not.  Works on the
+    states' vectors; no state is decoded.
     """
-    index = {s: i for i, s in enumerate(quotient.states)}
-    part = [index.get(normalize(s)) for s in ordinary.states]
+    index = {cell: i for i, cell in enumerate(quotient._cells)}
+    part = [index.get(normalize_vector(*cell)) for cell in ordinary._cells]
     if None in part:
         raise ValueError(f"normal form of ordinary state {part.index(None)} is not in the quotient")
-    if set(part) != set(range(len(quotient.states))):
+    if set(part) != set(range(len(quotient))):
         raise ValueError("normalize image does not cover the quotient states")
     return part

@@ -72,6 +72,15 @@ def test_build_generator_sums_parallel_edges_and_skips_self_loops():
     assert gen.diagonal[0] == -1.0
 
 
+def test_write_coo_prints_each_entry_with_its_repr(tmp_path):
+    # the reprs are cached per rate; 0.0 and -0.0 are equal but print apart
+    gen = Generator(4, {(3, 0): 0.1, (0, 1): 0.0, (1, 2): -0.0, (2, 3): 0.1, (0, 2): 1 / 3})
+    gen.write_coo(tmp_path / "g.coo")
+    lines = (tmp_path / "g.coo").read_text().splitlines()
+    assert lines == ["4", *(f"{i} {j} {rate!r}" for i, j, rate in gen.entries())]
+    assert lines[1:3] == ["0 1 0.0", "0 2 0.3333333333333333"]
+
+
 def test_initial_aggregated_row():
     gen = build_generator(quotient_ts(2))
     row = {(i, j): r for i, j, r in gen.entries() if i == 0}

@@ -61,6 +61,17 @@ GOLDEN = {
         "039e62b88f479f6ff045cd8f4182d84b92294163b4a1f75fc1a613f5cd68c7d4",
         "5aed9f6978699efd1e3431b2664bd8899607a563d3d422a6ec18c5f9417b3375",
     ),
+    # the benchmark's explore-firing model (11,120 states) and its quotient
+    ("ordinary", 2, 3, 3): (
+        "d20835ec12dd56ad1e2a02054b94d127732a023452fedbead24162a8e1cb093d",
+        "1140e29105e0463fc613de99fd64a7e589f020b0343e52caf7fb432df21f4770",
+        "6d71812ea733a6565c87e7ed4c4df6c87c45f6521d8435319982082a40fe67a3",
+    ),
+    ("quotient", 2, 3, 3): (
+        "4f374c6573caacaec1077dabd840015595aa95e0df853c3319d43fe2f02b1dc3",
+        "cab7677ffa8c15880db6ac9e85b816435dd83eaa92e76b532e3c4544a7490af6",
+        "eaadd57bebcf37253a95ff28f92232774a15b8766af121a18efeb16127793450",
+    ),
     # solve at the default grid 1:10000:60 and eps 1e-9
     ("solve", 1): (
         "6586835deda9b30ae03e0ded48eb9c280a51fd6c4cbf41bc88c27a39c23697b4",

@@ -1,3 +1,7 @@
+import random
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
 from rwspn import (
@@ -15,6 +19,8 @@ from rwspn import (
     production_rules,
     quotient_partition,
 )
+from rwspn.ctmc import Generator, build_generator, throughput
+from rwspn.net import CompiledNet
 from rwspn.rewrite import RewriteRule, compile_site
 
 from conftest import ordinary_ts, quotient_ts
@@ -61,6 +67,11 @@ def test_deadlocked_initial_state():
     ts = explore(System(Net((t,)), Bag()), (), mode="ordinary")
     assert len(ts) == 1
     assert ts.final_states() == (0,)
+    # no edge at all: the generator and the tag rates are still float
+    gen = build_generator(ts)
+    assert gen.offdiag.dtype == gen.diagonal.dtype == np.float64
+    with pytest.warns(UserWarning):
+        assert throughput(ts, [1.0], "t") == 0.0
 
 
 @pytest.mark.parametrize("mode", ["ordinary", "quotient"])
@@ -144,14 +155,124 @@ def test_quotient_partition_rejects_mismatched_systems():
         quotient_partition(ordinary_ts(1), extra)
 
 
+@lru_cache(maxsize=None)
+def _firing_ts():
+    return explore(build_npl_sys(1, 3, 3), (), mode="ordinary")
+
+
+EXPLORED = {
+    "quotient-2": quotient_ts,
+    "ordinary-2": ordinary_ts,
+    "firing-1-3-3": lambda _n: _firing_ts(),
+}
+
+
 def test_exports_roundtrip_shape(tmp_path):
-    ts = quotient_ts(1)
+    # every line, not only the first, for a model with rules and one without
+    for ts in (quotient_ts(2), _firing_ts()):
+        ts.write_states(tmp_path / "states.txt")
+        ts.write_edges(tmp_path / "edges.txt")
+        states = (tmp_path / "states.txt").read_text().splitlines()
+        edges = (tmp_path / "edges.txt").read_text().splitlines()
+        assert states == [s.canonical() for s in ts.states]
+        parsed = [line.split(" ") for line in edges]
+        assert [(int(s), int(d), lab, float(r)) for s, d, lab, r in parsed] == ts.edges
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Counts the ``CompiledNet.decode`` calls made while the test runs."""
+    calls = []
+    decode = CompiledNet.decode
+
+    def counted(self, vec):
+        calls.append(vec)
+        return decode(self, vec)
+
+    monkeypatch.setattr(CompiledNet, "decode", counted)
+    return calls
+
+
+def test_explore_and_exports_decode_no_state(decodes, tmp_path):
+    ts = explore(build_npl_sys(2, 2, 2), production_rules(), mode="quotient")
     ts.write_states(tmp_path / "states.txt")
     ts.write_edges(tmp_path / "edges.txt")
-    states = (tmp_path / "states.txt").read_text().splitlines()
-    edges = (tmp_path / "edges.txt").read_text().splitlines()
-    assert len(states) == len(ts)
-    assert len(edges) == len(ts.edges)
-    assert states[0] == ts.states[0].canonical()
-    src, dst, label, rate = edges[0].split(" ")
-    assert (int(src), int(dst), label, float(rate)) == ts.edges[0]
+    build_generator(ts).write_coo(tmp_path / "generator.coo")
+    finals = ts.final_states()
+    assert len(ts) == len(ts.states) == 295
+    quotient_partition(ordinary_ts(2), ts)
+    assert decodes == []
+    # only the states read are decoded
+    assert ts.search_final(lambda s: True) == finals
+    assert len(decodes) == len(finals)
+    assert len(ts.states[3:8]) == 5
+    assert len(decodes) == len(finals) + 5
+
+
+def test_state_view_reads_like_a_list():
+    ts = quotient_ts(2)
+    full = list(ts.states)
+    assert len(full) == len(ts)
+    assert ts.states[-1] == full[-1]
+    assert ts.states[10:20:3] == full[10:20:3]
+    assert full[5] in ts.states
+    assert ts.states.index(full[5]) == 5
+    sample = random.Random(0).sample(ts.states, 7)
+    assert all(s in full for s in sample)
+    with pytest.raises(IndexError):
+        ts.states[len(ts)]
+
+
+def _dict_generator(ts):
+    """``build_generator`` as the dict loop it replaced: the reference."""
+    acc = {}
+    for src, dst, _label, rate in ts.edges:
+        if src != dst:
+            acc[(src, dst)] = acc.get((src, dst), 0.0) + rate
+    return Generator(len(ts), acc)
+
+
+def _same_generator(a, b):
+    assert a.n == b.n
+    for x, y in ((a.offdiag, b.offdiag), (a.matrix, b.matrix)):
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(x, name), getattr(y, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("which", sorted(EXPLORED))
+def test_generator_from_arrays_matches_dict_loop(which):
+    ts = EXPLORED[which](2)
+    _same_generator(build_generator(ts), _dict_generator(ts))
+    pi = np.linspace(1.0, 2.0, len(ts))
+    # the loop that summed each tag's rates per state, in edge order
+    rates = np.zeros(len(ts))
+    for src, _dst, label, rate in ts.edges:
+        if label == "as":
+            rates[src] += rate
+    assert throughput(ts, pi, "as") == float(np.dot(pi, rates))
+
+
+@pytest.mark.parametrize("which", ["quotient-2", "firing-1-3-3"])
+def test_system_lists_build_the_explored_system(which, tmp_path):
+    ts = EXPLORED[which](2)
+    # the constructor sorts the edges it is given
+    shuffled = list(ts.edges)
+    random.Random(1).shuffle(shuffled)
+    built = TransitionSystem(ts.mode, list(ts.states), shuffled, list(ts.levels))
+    assert list(built.states) == list(ts.states)
+    assert built.edges == ts.edges
+    assert built.levels == ts.levels
+    assert built.final_states() == ts.final_states()
+    _same_generator(build_generator(built), build_generator(ts))
+    for t, name in ((ts, "a"), (built, "b")):
+        t.write_states(tmp_path / f"{name}.states")
+        t.write_edges(tmp_path / f"{name}.edges")
+    for ext in ("states", "edges"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+
+def test_duplicate_edges_are_refused():
+    ts = quotient_ts(1)
+    with pytest.raises(AssertionError, match=r"duplicate edge \(0, 1, 'x'\)"):
+        TransitionSystem(ts.mode, ts.states[:2], [(0, 1, "x", 1.0), (0, 1, "x", 2.0)], [0, 1])
