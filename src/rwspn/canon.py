@@ -92,7 +92,6 @@ class _NetForm(NamedTuple):
     columns: tuple
 
 
-_FORMS: dict[Net, _NetForm] = {}
 _END = ((math.inf,),)  # past every row: a column with no more cells is absent there
 
 
@@ -102,7 +101,8 @@ def _swap_fixes(net: Net, key: GroupKey, i: int, k: int) -> bool:
 
 
 def _net_form(net: Net) -> _NetForm:
-    """Canonical net and marking candidates of a raw net, computed once.
+    """Canonical net and marking candidates of a raw net, computed once
+    and kept in ``net._cache``, so that the form is freed with the net.
 
     The net is densified first.  If every adjacent transposition of every
     sibling group fixes the dense net, those transpositions generate the
@@ -111,7 +111,7 @@ def _net_form(net: Net) -> _NetForm:
     cannot order.  Otherwise every assignment is tried and those reaching
     the minimal net rendering are kept.
     """
-    form = _FORMS.get(net)
+    form = net._cache.get(_NetForm)
     if form is not None:
         return form
     densify = {key: dict(zip(ix, range(len(ix)))) for key, ix in sibling_groups(net)}
@@ -154,7 +154,7 @@ def _net_form(net: Net) -> _NetForm:
     for by_row in rows.values():  # symmetric, so every row has every index
         k = len(next(iter(by_row.values())))
         columns.append(tuple(tuple(cells[i] for cells in by_row.values()) for i in range(k)))
-    form = _FORMS[net] = _NetForm(best, tuple(dict.fromkeys(perms)), tuple(columns))
+    form = net._cache[_NetForm] = _NetForm(best, tuple(dict.fromkeys(perms)), tuple(columns))
     return form
 
 

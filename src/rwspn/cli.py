@@ -25,20 +25,36 @@ from .statespace import BudgetExceededError, explore, quotient_partition
 
 
 def _parse_grid(spec: str) -> list[float]:
+    """argparse type of ``--grid``: START:STOP:POINTS, log-spaced."""
     try:
         start, stop, points = spec.split(":")
         start, stop, points = float(start), float(stop), int(points)
     except ValueError:
-        raise SystemExit(f"bad grid spec {spec!r}, expected START:STOP:POINTS")
+        raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}, expected START:STOP:POINTS")
     if not (0 < start < stop and points >= 2):
-        raise SystemExit(f"bad grid spec {spec!r}")
+        raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}")
     return list(np.logspace(np.log10(start), np.log10(stop), points))
 
 
+def _at_least(least: int):
+    """argparse type of an int that is at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="number of production lines")
-    p.add_argument("--k", type=int, default=2, help="branches per line (rules need 2)")
-    p.add_argument("--m", type=int, default=2, help="items per branch")
+    p.add_argument("--n", type=_at_least(1), required=True, help="number of production lines")
+    p.add_argument("--k", type=_at_least(1), default=2, help="branches per line (rules need 2)")
+    p.add_argument("--m", type=_at_least(0), default=2, help="items per branch")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
 
@@ -80,7 +96,7 @@ def cmd_solve(args) -> int:
     system = build_npl_sys(args.n, args.k, args.m)
     ts = explore(system, _rules_for(args), mode="quotient", max_states=args.budget)
     gen = build_generator(ts)
-    series = measure_series(ts, gen, _parse_grid(args.grid), eps=args.eps)
+    series = measure_series(ts, gen, args.grid, eps=args.eps)
     args.out.mkdir(parents=True, exist_ok=True)
     gen.write_coo(args.out / "generator.coo")
     series.write_csv(args.out / "measures.csv")
@@ -167,7 +183,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="explore, build the generator, solve the measures")
     _model_args(p)
     p.add_argument("--eps", type=float, default=1e-9, help="transient solver accuracy")
-    p.add_argument("--grid", default="1:10000:60", help="log-spaced grid START:STOP:POINTS")
+    p.add_argument("--grid", type=_parse_grid, default="1:10000:60",
+                   help="log-spaced grid START:STOP:POINTS")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 

@@ -54,6 +54,8 @@ class Generator:
 
     def _build(self, n: int, rows, cols, data) -> None:
         data = np.asarray(data, dtype=np.float64)
+        if len(rows) and not (0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < n):
+            raise ValueError(f"state index outside 0..{n - 1}")
         if np.any(rows == cols):
             raise ValueError("diagonal entry among the off-diagonal rates")
         if not np.all(np.isfinite(data)):

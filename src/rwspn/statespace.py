@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
@@ -41,19 +42,15 @@ class _States(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [_decoded(cell) for cell in self._cells[i]]
-        return _decoded(self._cells[i])
+            return list(starmap(System.decoded, self._cells[i]))
+        return System.decoded(*self._cells[i])
 
     def __iter__(self):
-        return map(_decoded, self._cells)
-
-
-def _decoded(cell: State | None) -> System | None:
-    return None if cell is None else System.decoded(*cell)
+        return starmap(System.decoded, self._cells)
 
 
 class TransitionSystem:
-    """Indexed state graph with rate-labeled edges.
+    """Indexed state graph with rate-labeled edges, built by ``explore``.
 
     State 0 is the initial state; states are numbered by BFS level and, within
     a level, by the canonical system order, so the numbering does not depend
@@ -65,27 +62,14 @@ class TransitionSystem:
     (src, dst, label, rate); ``kind`` indexes ``kinds``, the sorted distinct
     (label, rate) pairs.  ``edges`` lists them as (src, dst, label, rate)
     tuples, built on first access.
-
-    The constructor takes ``System`` states (``None`` stands for a state
-    without a system) and (src, dst, label, rate) edges in any order.
     """
 
-    def __init__(self, mode: str, states: Sequence, edges: Sequence[Edge], levels: Sequence[int]):
-        cells = [None if s is None else (s.net, s.net.compiled().encode(s.marking)) for s in states]
-        marks = [None if c is None else c[0].compiled().render(c[1]) for c in cells]
-        kind_of: dict[tuple[str, float], int] = {}
-        flat = [
-            x for s, d, label, rate in edges
-            for x in (s, d, kind_of.setdefault((label, rate), len(kind_of)))
-        ]
-        src, dst, kind = np.array(flat, dtype=np.int64).reshape(-1, 3).T
-        self._pack(mode, cells, marks, list(levels), src, dst, kind, list(kind_of))
-
-    def _pack(self, mode, cells, marks, levels, src, dst, kind, kinds) -> None:
+    def __init__(self, mode: str, cells: list, marks: list, levels: list, src, dst, kind, kinds):
         """Store the states and the edges; ``kind`` indexes ``kinds``, the
         distinct (label, rate) pairs in any order.  Sorts ``kinds``, then the
         edges by (src, dst, kind); raises ``AssertionError`` on two edges
-        with the same source, target and label."""
+        with the same source, target and label, which the successor merge
+        must have summed into one."""
         by_pair = sorted(range(len(kinds)), key=kinds.__getitem__)
         rank = np.empty(len(kinds), dtype=np.int64)
         rank[by_pair] = np.arange(len(kinds))
@@ -192,12 +176,11 @@ def explore(
     ids: dict[State, int] = {start: 0}
     kind_of: dict[tuple[str, float], int] = {}  # (label, rate) -> kind id
     edges: list[int] = []  # src, dst, kind id per edge, flat
-    frontier = [0]
-    level = 0
-    while frontier:
+    level, begin = 0, 0
+    while begin < len(states):  # expand states[begin:end], the last level found
         level += 1
-        next_frontier: list[int] = []
-        for src in frontier:
+        end = len(states)
+        for src in range(begin, end):
             net, vec = states[src]
             successors = rewrite._successors(net, vec, rules, quotient, normal)
             for (target, label), rate in successors.items():
@@ -207,12 +190,11 @@ def explore(
                     ids[target] = tid
                     states.append(target)
                     levels.append(level)
-                    next_frontier.append(tid)
                     if max_states is not None and len(states) > max_states:
                         raise BudgetExceededError(len(states), level, max_states)
                 kind = kind_of.setdefault((label, rate), len(kind_of))
                 edges += (src, tid, kind)
-        frontier = next_frontier
+        begin = end
     del ids, normal
 
     # renumber: BFS level, then canonical order (``System.key``) within a
@@ -223,12 +205,10 @@ def explore(
     remap[order] = np.arange(len(states))
     src, dst, kind = np.array(edges, dtype=np.int64).reshape(-1, 3).T
     del edges
-    ts = TransitionSystem.__new__(TransitionSystem)
-    ts._pack(
+    return TransitionSystem(
         mode, [states[i] for i in order], [marks[i] for i in order], levels,
         remap[src], remap[dst], kind, list(kind_of),
     )
-    return ts
 
 
 def quotient_partition(ordinary: TransitionSystem, quotient: TransitionSystem) -> list[int]:

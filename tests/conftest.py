@@ -1,4 +1,5 @@
-"""Shared helpers: cached explorations and random-marking generators."""
+"""Shared helpers: cached explorations, small chains and random-marking
+generators."""
 
 from __future__ import annotations
 
@@ -7,7 +8,17 @@ from functools import lru_cache
 
 from hypothesis import settings
 
-from rwspn import Bag, System, build_npl_sys, explore, production_rules
+from rwspn import (
+    Bag,
+    Net,
+    System,
+    Transition,
+    TransitionTag,
+    build_npl_sys,
+    explore,
+    place,
+    production_rules,
+)
 
 # property tests draw the same examples on every run and write no database
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -22,6 +33,21 @@ def quotient_ts(n: int, k: int = 2, m: int = 2):
 @lru_cache(maxsize=None)
 def ordinary_ts(n: int, k: int = 2, m: int = 2):
     return explore(build_npl_sys(n, k, m), production_rules(), mode="ordinary")
+
+
+def chain(*edges):
+    """The transition system of one token moving between the places
+    s0, s1, ...: one transition per (src, dst, label, rate) edge, explored
+    from a token on s0.  Every state must be reachable from state 0, and
+    the explored numbering must be the given one."""
+    at = [place(("s", i)) for i in range(1 + max(max(s, d) for s, d, _, _ in edges))]
+    net = Net(
+        Transition(Bag({at[s]: 1}), Bag({at[d]: 1}), Bag(), TransitionTag(label, 0, rate))
+        for s, d, label, rate in edges
+    )
+    ts = explore(System(net, Bag({at[0]: 1})), mode="ordinary")
+    assert ts.edges == sorted(edges)
+    return ts
 
 
 def random_marking(net, rng: random.Random, max_count: int = 3) -> Bag:

@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 
 import pytest
 
@@ -228,6 +229,20 @@ def test_net_pool_frees_candidate_images():
     before = live_nets()
     assert brute_force_normal(s).marking == Bag({place(("p", 0), ("X", 0)): 1})
     assert live_nets() - before <= 2
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_normal_form_is_freed_with_its_net(normalized):
+    # the form is kept on the net, so normalizing does not pin the net;
+    # the rate tells the two cases' nets apart, which are interned otherwise
+    x0, x1 = place(("X", 0)), place(("X", 1))
+    net = Net([_move(x0, x1, rate=2.0 + normalized), _move(x1, x0, rate=2.0 + normalized)])
+    if normalized:
+        assert normalize(System(net, Bag({x1: 1}))).marking == Bag({x0: 1})
+    alive = weakref.ref(net)
+    del net
+    gc.collect()
+    assert alive() is None
 
 
 def test_mixed_depth_matches_brute_force():

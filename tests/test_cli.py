@@ -1,5 +1,6 @@
 import pytest
 
+from rwspn import cli
 from rwspn.cli import main
 
 
@@ -81,6 +82,39 @@ def test_solve_rejects_eps_it_cannot_honor(tmp_path, capsys, eps):
 def test_solve_rejects_bad_grid(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--n", "1", "--grid", "10:1:5", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--n", "0"],
+        ["explore", "--n", "1", "--k", "0"],
+        ["explore", "--n", "1", "--m", "-1"],
+        ["explore", "--n", "one"],
+        ["verify", "--n", "0"],
+        ["export-net", "--n", "0"],
+        ["solve", "--n", "1", "--grid", "10:1:5"],
+        ["solve", "--n", "1", "--grid", "1:10"],
+    ],
+)
+def test_bad_sizes_and_grids_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    # argparse refuses them before any model is built
+    monkeypatch.setattr(cli, "build_npl_sys", lambda *args: pytest.fail("model built"))
+    out = tmp_path / "u"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rwspn")
+    assert f"argument {argv[-2]}: " in captured.err
+    assert not out.exists()
+
+
+def test_empty_warehouse_is_a_model(tmp_path, capsys):
+    out = tmp_path / "m0"
+    assert main(["export-net", "--n", "1", "--m", "0", "--out", str(out)]) == 0
+    assert (out / "net.txt").exists()
 
 
 def test_export_net(tmp_path, capsys):

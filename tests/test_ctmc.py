@@ -29,9 +29,8 @@ from rwspn import (
     transient,
 )
 from rwspn.ctmc import _LEFT_SHARE, _poisson_weights, _poisson_window
-from rwspn.statespace import TransitionSystem
 
-from conftest import ordinary_ts, quotient_ts
+from conftest import chain, ordinary_ts, quotient_ts
 
 
 def two_state_chain(lam=0.1):
@@ -52,21 +51,27 @@ def test_generator_rejects_negative_rates():
 
 
 @pytest.mark.parametrize(
-    "rates", [{(0, 1): math.nan}, {(0, 1): math.inf}, {(0, 0): 1.0, (0, 1): 1.0}]
+    "rates",
+    [
+        {(0, 1): math.nan},
+        {(0, 1): math.inf},
+        {(0, 0): 1.0, (0, 1): 1.0},
+        {(0, 5): 1.0},
+        {(0, -1): 1.0},
+        {(5, 0): 1.0},
+        {(-1, 0): 1.0},
+    ],
 )
 def test_generator_rejects_non_finite_and_diagonal_rates(rates):
-    # a diagonal key would be listed by entries() and counted as an exit rate
-    with pytest.raises(ValueError):
+    # a diagonal key, or a column outside the states, would be listed by
+    # entries() and counted as an exit rate
+    outside = any(not 0 <= i < 2 for key in rates for i in key)
+    with pytest.raises(ValueError, match=r"state index outside 0\.\.1" if outside else None):
         Generator(2, rates)
 
 
 def test_build_generator_sums_parallel_edges_and_skips_self_loops():
-    ts = TransitionSystem(
-        mode="quotient",
-        states=[None, None],
-        edges=[(0, 0, "x", 9.0), (0, 1, "a", 0.5), (0, 1, "b", 0.5)],
-        levels=[0, 1],
-    )
+    ts = chain((0, 0, "x", 9.0), (0, 1, "a", 0.5), (0, 1, "b", 0.5))
     gen = build_generator(ts)
     assert gen.entries() == ((0, 1, 1.0),)
     assert gen.diagonal[0] == -1.0
@@ -377,12 +382,7 @@ def test_transient_matvec_is_bit_identical_to_matmul(n):
 
 
 def test_throughput_simple():
-    ts = TransitionSystem(
-        mode="quotient",
-        states=[None, None],
-        edges=[(0, 1, "as", 2.0)],
-        levels=[0, 1],
-    )
+    ts = chain((0, 1, "as", 2.0))
     assert throughput(ts, [1.0, 0.0], "as") == 2.0
     assert throughput(ts, [0.0, 1.0], "as") == 0.0
     with pytest.warns(UserWarning):
@@ -399,18 +399,9 @@ def test_reliability_bounds():
     assert reliability(ts, absorbed) == pytest.approx(0.0)
 
 
-def _two_state_ts():
-    return TransitionSystem(
-        mode="quotient",
-        states=[None, None],
-        edges=[(0, 1, "as", 1.0)],
-        levels=[0, 1],
-    )
-
-
 def test_reliability_keeps_relative_precision():
     # 1 - (final mass) would read 0 here
-    ts = _two_state_ts()
+    ts = chain((0, 1, "as", 1.0))
     assert reliability(ts, [1e-20, 1.0]) == 1e-20
     # R(t) = exp(-t) on 0 -> 1 at rate 1: the steps keep it to about 1e-11
     # relative, where 1 - (final mass) is off by 1.7e-5 relative at t = 28
