@@ -84,7 +84,9 @@ def _arrangements(groups, bound: int = _BOUND):
 class _NetForm(NamedTuple):
     """What normalization needs to know about one raw net."""
 
-    net: Net  # the canonical net
+    # the canonical net, None if that is the raw net itself: a net that
+    # held itself through its form would be freed only by the collector
+    net: Net | None
     # per candidate: the raw-net place index that lands on each canonical
     # place index, so a raw vector's image is ``[vec[i] for i in perm]``
     perms: tuple
@@ -154,7 +156,9 @@ def _net_form(net: Net) -> _NetForm:
     for by_row in rows.values():  # symmetric, so every row has every index
         k = len(next(iter(by_row.values())))
         columns.append(tuple(tuple(cells[i] for cells in by_row.values()) for i in range(k)))
-    form = net._cache[_NetForm] = _NetForm(best, tuple(dict.fromkeys(perms)), tuple(columns))
+    form = net._cache[_NetForm] = _NetForm(
+        None if best is net else best, tuple(dict.fromkeys(perms)), tuple(columns)
+    )
     return form
 
 
@@ -178,9 +182,10 @@ def _sort_columns(vec: tuple, columns: tuple) -> tuple:
     return tuple(out)
 
 
-def _minimal(form: _NetForm, vec: tuple) -> tuple:
-    """The candidate image of a raw vector with the smallest rendering."""
-    render = form.net.compiled().render
+def _minimal(form: _NetForm, canon: Net, vec: tuple) -> tuple:
+    """The candidate image of a raw vector with the smallest rendering over
+    the canonical net ``canon``."""
+    render = canon.compiled().render
     best = best_text = None
     seen = set()
     for perm in form.perms:
@@ -200,7 +205,8 @@ def normalize_vector(net: Net, vec: tuple) -> tuple[Net, tuple]:
     """``normalize`` on a marking vector over ``net.compiled()``: the
     canonical net and the normal-form vector over its compiled places."""
     form = _net_form(net)
-    return form.net, _minimal(form, vec)
+    canon = form.net or net
+    return canon, _minimal(form, canon, vec)
 
 
 def normalize(system: System) -> System:
@@ -241,19 +247,52 @@ def apply_assignment(system: System, assignment: Assignment) -> System:
     return System(net, marking)
 
 
+class _Images(NamedTuple):
+    """What the brute-force oracle knows about one raw net."""
+
+    # the least image net by rendering, None if that is the raw net itself
+    net: Net | None
+    # per distinct place map of an assignment reaching that net: the image
+    # of each of the raw net's places, aligned with ``places()``
+    maps: tuple
+
+
+def _images(net: Net, assignments) -> _Images:
+    """Every assignment's image of the net, reduced to the least one and
+    the place maps that reach it; kept in ``net._cache``, so that the
+    table is freed with the net."""
+    best, kept = None, []
+    for assignment in assignments:
+        image = apply_assignment(System(net), assignment).net
+        if best is None or image.render() < best.render():
+            best, kept = image, []
+        if image is best:
+            kept.append(assignment)
+    maps = (tuple(_rewrite_place(pl, a) for pl in net.places()) for a in kept)
+    least = None if best is net else best
+    table = net._cache[_Images] = _Images(least, tuple(dict.fromkeys(maps)))
+    return table
+
+
 def brute_force_normal(system: System, bound: int = _BOUND) -> System:
     """Testing oracle: enumerate every admissible index assignment.
 
     For each sibling group all bijections of its index set onto 0..k-1 are
     tried (covering both permutation and re-densification); the systemOrder
-    minimum is returned.
+    minimum is returned.  An image net depends only on the net, so the
+    images are built once per net: the least image and the place maps of
+    the assignments reaching it are kept with the net.  Each call renames
+    the marking through every kept map; since ``System.key`` compares the
+    net first, the least of those is the least image of the system.  The
+    bound is checked on every call, before the table is used.
     """
-    best = None
-    for assignment in _arrangements(sibling_groups(system.net), bound):
-        cand = apply_assignment(system, assignment)
-        if best is None or cand.key < best.key:
-            best = cand
-    return best
+    net = system.net
+    assignments = _arrangements(sibling_groups(net), bound)
+    table = net._cache.get(_Images) or _images(net, assignments)
+    index = net.compiled().index
+    items = [(index[pl], c) for pl, c in system.marking.items()]
+    images = (Bag({image[i]: c for i, c in items}) for image in table.maps)
+    return System(table.net or net, min(images, key=Bag.render))
 
 
 def random_admissible_assignment(system: System, rng: random.Random) -> Assignment:

@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("explore", help="build the transition system and export it")
     _model_args(p)
     p.add_argument("--mode", choices=("quotient", "ordinary"), default="quotient")
-    p.add_argument("--budget", type=int, default=None, help="state budget")
+    p.add_argument("--budget", type=_at_least(1), default=None, help="state budget")
     p.add_argument("--verify-symmetry", action="store_true",
                    help="cross-check every state against the brute-force normalizer")
     p.set_defaults(func=cmd_explore)
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     p.add_argument("--eps", type=float, default=1e-9, help="transient solver accuracy")
     p.add_argument("--grid", type=_parse_grid, default="1:10000:60",
                    help="log-spaced grid START:STOP:POINTS")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="normalizer oracle and lumping checks")

@@ -13,6 +13,8 @@ from rwspn import (
     apply_assignment,
     brute_force_normal,
     build_npl_sys,
+    enab_set,
+    explore,
     faulty_sys,
     fire,
     join,
@@ -25,7 +27,7 @@ from rwspn import (
     sibling_groups,
     system_order,
 )
-from rwspn.canon import CanonBoundError
+from rwspn.canon import CanonBoundError, _arrangements
 
 from conftest import random_marking
 
@@ -274,3 +276,111 @@ def test_gapped_indices_densify_consistently():
         for _ in range(5):
             phi = random_admissible_assignment(s, rng)
             assert normalize(apply_assignment(s, phi)) == base
+
+
+def per_state_oracle(s):
+    # the oracle's definition, with no per-net table: every assignment's
+    # image of the whole system, least by System.key
+    assignments = _arrangements(sibling_groups(s.net))
+    return min((apply_assignment(s, a) for a in assignments), key=lambda c: c.key)
+
+
+def _mixed_depth_net():
+    inner = repl_share(Net([_move(place(("a", 0)), place(("b", 0)))]), 2, "T")
+    body = Net(inner.transitions + (_move(place(("a", 0)), place(("b", 0))),))
+    return repl_share(body, 3, "T")
+
+
+def _gapped_net():
+    from rwspn import detach, subnet_by_pair
+
+    net4 = npl_net(4, 2)
+    return detach(net4, subnet_by_pair(net4, ("PL", 1)))
+
+
+def _ring(k):
+    return Net(
+        _move(place(("p", 0), ("X", i)), place(("p", 0), ("X", (i + 1) % k))) for i in range(k)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, seed, count",
+    [(_mixed_depth_net, 53, 60), (_gapped_net, 41, 40), (lambda: _ring(6), 47, 6)],
+    ids=["mixed-depth", "gapped", "ring6"],
+)
+def test_oracle_matches_its_per_state_definition(make, seed, count):
+    # the per-net table keeps only the least image net and the maps that
+    # reach it; the result must be what trying every image of every system gives
+    net = make()
+    rng = random.Random(seed)
+    for _ in range(count):
+        s = System(net, random_marking(net, rng, max_count=12))
+        least = per_state_oracle(s)
+        assert brute_force_normal(s) == least
+        phi = random_admissible_assignment(s, rng)
+        assert brute_force_normal(apply_assignment(s, phi)) == least
+
+
+def test_oracle_checks_its_bound_on_every_call():
+    # npl_net(3, 2) has 3! * 2!**3 = 48 admissible assignments
+    s = System(npl_net(3, 2), Bag())
+    assert brute_force_normal(s) == per_state_oracle(s)  # builds the net's table
+    assert brute_force_normal(s, bound=48) == per_state_oracle(s)
+    with pytest.raises(CanonBoundError) as exc:
+        brute_force_normal(s, bound=10)
+    assert (exc.value.total, exc.value.bound) == (48, 10)
+    with pytest.raises(CanonBoundError):
+        brute_force_normal(s, bound=47)
+
+
+def _normal_marking(canon, net, marked):
+    # a function of its own, so that no frame of the caller holds a result
+    return canon(System(net, Bag({marked: 1}))).marking
+
+
+@pytest.mark.parametrize("canon", [normalize, brute_force_normal])
+def test_per_net_tables_free_their_net_without_the_collector(canon):
+    # a net that is its own canonical net must not reach itself through
+    # what is kept on it, or only the cyclic collector could free it
+    x0, x1 = place(("X", 0)), place(("X", 1))
+    rate = 4.0 + (canon is normalize)  # distinct nets per case; nets are interned
+    net = Net([_move(x0, x1, rate=rate), _move(x1, x0, rate=rate)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert _normal_marking(canon, net, x1) == Bag({x0: 1})
+        alive = weakref.ref(net)
+        del net
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _raw_firing_targets(system):
+    return {System(system.net, fire(t, system.marking)) for t in enab_set(system)}
+
+
+def test_normalize_matches_oracle_on_every_k3_firing_target():
+    # every raw target of firing in the K=3 quotient state space (no rules)
+    ts = explore(build_npl_sys(2, 3, 2), (), mode="quotient")
+    targets = set().union(*map(_raw_firing_targets, ts.states))
+    assert len(targets) == 501
+    for s in sorted(targets):
+        assert normalize(s) == brute_force_normal(s)
+
+
+def test_normalize_matches_oracle_on_sampled_k4_firing_targets():
+    # a seeded walk through the K=4 quotient state space checks every raw
+    # firing target of the states it visits; 2! * (4!)**2 = 1,152 assignments
+    rng = random.Random(71)
+    state = normalize(build_npl_sys(2, 4, 2))
+    checked = set()
+    while len(checked) < 30:
+        targets = sorted(_raw_firing_targets(state))
+        for s in targets:
+            if s not in checked:
+                checked.add(s)
+                assert normalize(s) == brute_force_normal(s)
+        state = normalize(rng.choice(targets))
+    assert len({normalize(s) for s in checked}) > 5

@@ -111,6 +111,20 @@ def test_bad_sizes_and_grids_are_usage_errors(tmp_path, capsys, monkeypatch, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", "--n", "1", "--budget", "-3"],
+        ["explore", "--n", "1", "--budget", "0"],
+        ["explore", "--n", "1", "--budget", "many"],
+        ["solve", "--n", "1", "--budget", "0"],
+    ],
+)
+def test_budgets_below_one_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    # no state space fits in a budget below 1 state
+    test_bad_sizes_and_grids_are_usage_errors(tmp_path, capsys, monkeypatch, argv)
+
+
 def test_empty_warehouse_is_a_model(tmp_path, capsys):
     out = tmp_path / "m0"
     assert main(["export-net", "--n", "1", "--m", "0", "--out", str(out)]) == 0
