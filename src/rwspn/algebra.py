@@ -125,11 +125,4 @@ def min_index_not_in(net: Net, tag: str) -> int:
 def subnet_by_pair(net: Net, pair: Pair) -> Net:
     """Transitions touching at least one place whose label contains ``pair``."""
     pair = (pair[0], pair[1])
-    cached = net._cache.get(("subnet", pair))
-    if cached is not None:
-        return cached
-    sub = Net(
-        t for t in net if any(pair in pl.pairs for pl in t.places)
-    )
-    net._cache[("subnet", pair)] = sub
-    return sub
+    return Net(t for t in net if any(pair in pl.pairs for pl in t.places))

@@ -34,16 +34,19 @@ def sibling_groups(net: Net) -> tuple[tuple[GroupKey, tuple[int, ...]], ...]:
     """Sibling groups of a net, deepest (longest suffix) first.
 
     Each entry is ((suffix, tag), indices); indices are exactly those that
-    occur in the net for that context.
+    occur in the net for that context.  Computed once and kept in
+    ``net._cache``.
     """
-    if net._groups is None:
+    groups = net._cache.get(sibling_groups)
+    if groups is None:
         acc: dict[GroupKey, set[int]] = {}
         for pl in net.places():
-            for suffix, tag, idx, _q in pl.memberships:
-                acc.setdefault((suffix, tag), set()).add(idx)
+            for q, (tag, idx) in enumerate(pl.pairs):
+                acc.setdefault((pl.pairs[q + 1:], tag), set()).add(idx)
         ordered = sorted(acc.items(), key=lambda kv: (-len(kv[0][0]), kv[0]))
-        net._groups = tuple((key, tuple(sorted(idx))) for key, idx in ordered)
-    return net._groups
+        groups = tuple((key, tuple(sorted(idx))) for key, idx in ordered)
+        net._cache[sibling_groups] = groups
+    return groups
 
 
 def _rewrite_place(pl: Place, chosen: Assignment) -> Place:

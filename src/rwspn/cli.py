@@ -17,6 +17,7 @@ from .ctmc import (
     _check_eps,
     build_generator,
     check_strong_lumpability,
+    default_grid,
     lump_generator,
     measure_series,
 )
@@ -25,7 +26,8 @@ from .statespace import BudgetExceededError, explore, quotient_partition
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """argparse type of ``--grid``: START:STOP:POINTS, log-spaced."""
+    """argparse type of ``--grid``: START:STOP:POINTS, log-spaced by
+    ``default_grid``; the grid must be finite and strictly increasing."""
     try:
         start, stop, points = spec.split(":")
         start, stop, points = float(start), float(stop), int(points)
@@ -33,7 +35,13 @@ def _parse_grid(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}, expected START:STOP:POINTS")
     if not (0 < start < stop and points >= 2):
         raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}")
-    return list(np.logspace(np.log10(start), np.log10(stop), points))
+    with np.errstate(all="ignore"):  # an infinite or overflowing end is refused below
+        grid = default_grid(points, start, stop)
+    if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+        raise argparse.ArgumentTypeError(
+            f"bad grid spec {spec!r}: the grid is not finite and strictly increasing"
+        )
+    return grid
 
 
 def _at_least(least: int):
@@ -74,7 +82,7 @@ def cmd_explore(args) -> int:
         print(f"states>{exc.budget} final=? elapsed={time.perf_counter() - started:.2f}")
         raise
     elapsed = time.perf_counter() - started
-    if args.verify_symmetry and args.mode == "quotient":
+    if args.verify_symmetry:
         for s in ts.states:
             if brute_force_normal(s) != s:
                 print(f"error: non-minimal normal form: {s.canonical()}", file=sys.stderr)
@@ -106,16 +114,15 @@ def cmd_solve(args) -> int:
 
 
 def _perturbed(gen: Generator, partition) -> Generator:
-    # double the first edge leaving a state whose class has other members
-    from collections import Counter
-
-    sizes = Counter(partition)
-    entries = {(i, j): r for i, j, r in gen.entries()}
-    for (i, j), rate in sorted(entries.items()):
-        if sizes[partition[i]] > 1:
-            entries[(i, j)] = 2.0 * rate
-            break
-    return Generator(gen.n, entries)
+    # double the first entry, in (row, column) order, of a state whose
+    # class has other members
+    m = gen.offdiag.tocoo()
+    _labels, cls, sizes = np.unique(partition, return_inverse=True, return_counts=True)
+    shared = np.flatnonzero(sizes[cls][m.row] > 1)
+    data = m.data.copy()  # the COO view shares its data with the CSR
+    if len(shared):
+        data[shared[0]] *= 2.0
+    return Generator._from_arrays(gen.n, m.row, m.col, data)
 
 
 def cmd_verify(args) -> int:
@@ -179,6 +186,7 @@ def main(argv=None) -> int:
     p.add_argument("--verify-symmetry", action="store_true",
                    help="cross-check every state against the brute-force normalizer")
     p.set_defaults(func=cmd_explore)
+    explore_parser = p
 
     p = sub.add_parser("solve", help="explore, build the generator, solve the measures")
     _model_args(p)
@@ -199,6 +207,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_export_net)
 
     args = parser.parse_args(argv)
+    if args.command == "explore" and args.verify_symmetry and args.mode != "quotient":
+        explore_parser.error("argument --verify-symmetry: needs --mode quotient")
     try:
         return args.func(args)
     except BudgetExceededError as exc:

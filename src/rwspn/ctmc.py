@@ -180,8 +180,8 @@ def lump_generator(gen: Generator, partition: Sequence[int], tol: float = 1e-9) 
         raise ValueError("class ids must be 0..m-1")
     lumped = flows[first].tocoo()
     keep = (lumped.row != lumped.col) & (lumped.data != 0)
-    pairs = zip(lumped.row[keep].tolist(), lumped.col[keep].tolist())
-    return Generator(len(labels), dict(zip(pairs, lumped.data[keep].tolist())))
+    rows, cols, data = lumped.row[keep], lumped.col[keep], lumped.data[keep]
+    return Generator._from_arrays(len(labels), rows, cols, data)
 
 
 # share of the truncation budget ``eps`` given to the left Poisson tail
@@ -226,6 +226,10 @@ def _poisson_weights(mu: float, left: int, right: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+# most uniformization terms ``transient`` runs for one step
+_MAX_TERMS = 2_000_000
+
+
 def _check_eps(eps: float) -> None:
     """Reject an accuracy that ``transient`` cannot honor."""
     # at or below 2**-54, 1 - eps rounds to 1 and the window has no right end
@@ -238,7 +242,6 @@ def transient(
     pi0: Sequence[float],
     t: float,
     eps: float = 1e-9,
-    max_terms: int = 2_000_000,
     details: dict | None = None,
 ) -> np.ndarray:
     """Transient distribution pi0 * exp(Q t) by uniformization.
@@ -254,7 +257,7 @@ def transient(
     from 1 by the mat-vecs' rounding drift) and ``terms``, the number of
     mat-vecs plus one.  ``t`` must be finite and nonnegative and ``eps`` in
     (2**-54, 1), else ``ValueError``.  ``TransientBudgetError`` is raised
-    when mu >= ``max_terms`` or the window needs more than ``max_terms``
+    when mu >= ``_MAX_TERMS`` or the window needs more than ``_MAX_TERMS``
     terms.
 
     Absorbed-mass shortcut: if the mass m of pi0 on states with a nonzero
@@ -277,14 +280,14 @@ def transient(
     mu = lam * t
     # the window reaches about mu, and the Poisson quantiles are NaN for
     # mu past about 1e12, so a huge mu is refused before they are asked
-    if mu >= max_terms:
+    if mu >= _MAX_TERMS:
         raise TransientBudgetError(
-            f"mu = {mu!r} needs about as many uniformization terms, budget is {max_terms}"
+            f"mu = {mu!r} needs about as many uniformization terms, budget is {_MAX_TERMS}"
         )
     left, right = _poisson_window(mu, eps)
-    if right + 1 > max_terms:
+    if right + 1 > _MAX_TERMS:
         raise TransientBudgetError(
-            f"{right + 1} uniformization terms needed, budget is {max_terms}"
+            f"{right + 1} uniformization terms needed, budget is {_MAX_TERMS}"
         )
     if gen._uniformized is None:
         gen._uniformized = (sp.eye(gen.n, format="csr") + gen.matrix / lam).T.tocsr()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import weakref
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ class Place:
     compare and hash by identity.
     """
 
-    __slots__ = ("pairs", "_str", "_memb")
+    __slots__ = ("pairs", "_str")
 
     _pool: dict = {}
 
@@ -55,18 +56,7 @@ class Place:
         self = object.__new__(cls)
         self.pairs = pairs
         self._str = None
-        self._memb = None
         return cls._pool.setdefault(pairs, self)
-
-    @property
-    def memberships(self) -> tuple:
-        """Per label position: (suffix pairs, tag, index, position)."""
-        if self._memb is None:
-            prs = self.pairs
-            self._memb = tuple(
-                (prs[q + 1:], prs[q][0], prs[q][1], q) for q in range(len(prs))
-            )
-        return self._memb
 
     def tags(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.pairs)
@@ -98,7 +88,7 @@ def place(*pairs: Pair) -> Place:
 
 @dataclass(frozen=True, order=True)
 class TransitionTag:
-    """Transition annotation: tag text, priority, and a positive rate.
+    """Transition annotation: tag text, priority, and a positive, finite rate.
 
     The rate is an exponential firing rate at priority 0 and a
     conflict-resolution weight at higher priorities.
@@ -114,8 +104,8 @@ class TransitionTag:
         if not isinstance(self.priority, int) or self.priority < 0:
             raise ValueError(f"invalid priority {self.priority!r}")
         object.__setattr__(self, "rate", float(self.rate))
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
 
     def render(self) -> str:
         return f'<< "{self.tag}", {self.priority}, {self.rate!r} >>'
@@ -195,8 +185,7 @@ class Net:
     """
 
     __slots__ = (
-        "transitions", "_places", "_place_set", "_str", "_groups", "_cache", "_compiled",
-        "__weakref__",
+        "transitions", "_places", "_place_set", "_str", "_cache", "_compiled", "__weakref__",
     )
 
     _pool: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -211,7 +200,6 @@ class Net:
         self._places = None
         self._place_set = None
         self._str = None
-        self._groups = None
         self._cache = {}
         self._compiled = None
         return cls._pool.setdefault(transitions, self)

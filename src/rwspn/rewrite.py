@@ -4,6 +4,7 @@ states."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -110,8 +111,8 @@ class RewriteRule:
     def __post_init__(self):
         if not _TAG_RE.match(self.tag):
             raise ValueError(f"invalid rule tag {self.tag!r}")
-        if not self.rate > 0:
-            raise ValueError(f"rule rate must be positive, got {self.rate!r}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rule rate must be positive and finite, got {self.rate!r}")
 
 
 def rule_sites(rule: RewriteRule, net: Net) -> tuple[RuleSite, ...]:

@@ -64,7 +64,7 @@ class TransitionSystem:
     tuples, built on first access.
     """
 
-    def __init__(self, mode: str, cells: list, marks: list, levels: list, src, dst, kind, kinds):
+    def __init__(self, cells: list, marks: list, levels: list, src, dst, kind, kinds):
         """Store the states and the edges; ``kind`` indexes ``kinds``, the
         distinct (label, rate) pairs in any order.  Sorts ``kinds``, then the
         edges by (src, dst, kind); raises ``AssertionError`` on two edges
@@ -86,13 +86,11 @@ class TransitionSystem:
             raise AssertionError(
                 f"duplicate edge {(int(self.src[i]), int(self.dst[i]), self.kinds[self.kind[i]][0])}"
             )
-        self.mode = mode
         self.levels = levels
         self._cells = cells
         self._marks = marks
         self.states = _States(cells)
         self._edges = None
-        self._finals = None
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -108,11 +106,9 @@ class TransitionSystem:
 
     def final_states(self) -> tuple[int, ...]:
         """Indices of states with no outgoing edge."""
-        if self._finals is None:
-            has_out = np.zeros(len(self), dtype=bool)
-            has_out[self.src] = True
-            self._finals = tuple(np.flatnonzero(~has_out).tolist())
-        return self._finals
+        has_out = np.zeros(len(self), dtype=bool)
+        has_out[self.src] = True
+        return tuple(np.flatnonzero(~has_out).tolist())
 
     def search_final(self, pred: Callable[[System], bool]) -> tuple[int, ...]:
         """Final states whose system satisfies ``pred``; only those are
@@ -206,7 +202,7 @@ def explore(
     src, dst, kind = np.array(edges, dtype=np.int64).reshape(-1, 3).T
     del edges
     return TransitionSystem(
-        mode, [states[i] for i in order], [marks[i] for i in order], levels,
+        [states[i] for i in order], [marks[i] for i in order], levels,
         remap[src], remap[dst], kind, list(kind_of),
     )
 

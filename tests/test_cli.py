@@ -42,6 +42,20 @@ def test_explore_verify_symmetry(tmp_path):
     assert main(["explore", "--n", "1", "--verify-symmetry", "--out", str(out)]) == 0
 
 
+def test_verify_symmetry_needs_quotient_mode(tmp_path, capsys, monkeypatch):
+    # ordinary states are not normal forms, so there is nothing to check
+    monkeypatch.setattr(cli, "build_npl_sys", lambda *args: pytest.fail("model built"))
+    out = tmp_path / "vo"
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--n", "1", "--mode", "ordinary", "--verify-symmetry", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rwspn explore")
+    assert "argument --verify-symmetry: needs --mode quotient" in captured.err
+    assert not out.exists()
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--n", "1"]) == 0
     out = capsys.readouterr().out
@@ -95,6 +109,8 @@ def test_solve_rejects_bad_grid(tmp_path):
         ["export-net", "--n", "0"],
         ["solve", "--n", "1", "--grid", "10:1:5"],
         ["solve", "--n", "1", "--grid", "1:10"],
+        ["solve", "--n", "1", "--grid", "1:inf:5"],
+        ["solve", "--n", "1", "--grid", "1:1.0000000000000002:100"],
     ],
 )
 def test_bad_sizes_and_grids_are_usage_errors(tmp_path, capsys, monkeypatch, argv):

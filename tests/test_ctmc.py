@@ -309,13 +309,24 @@ def test_import_leaves_out_scipy_stats():
 
 def test_transient_budget():
     gen = two_state_chain(lam=1000.0)
-    with pytest.raises(TransientBudgetError):
-        transient(gen, np.array([1.0, 0.0]), 1e6, eps=1e-12, max_terms=100)
+    with pytest.raises(TransientBudgetError, match="budget is 2000000"):
+        transient(gen, np.array([1.0, 0.0]), 1e6, eps=1e-12)
+
+
+def test_transient_budget_refuses_a_window_past_it():
+    # mu is under the budget, but the Fox–Glynn window reaches past it
+    gen = Generator(2, {(0, 1): 1.0})
+    with pytest.raises(TransientBudgetError,
+                       match="^2007487 uniformization terms needed, budget is 2000000$"):
+        transient(gen, [1.0, 0.0], 1.999e6 / 1.02)
+    details: dict = {}
+    transient(gen, [1.0, 0.0], 1.99e6 / 1.02, details=details)
+    assert details["terms"] <= 2_000_000
 
 
 @pytest.mark.parametrize("t", [2e6 / 1.02, 1e12, 1e300])
 def test_transient_budget_refuses_huge_mu_before_the_window(t):
-    # the Poisson quantiles are NaN past mu of about 1e12; mu = max_terms
+    # the Poisson quantiles are NaN past mu of about 1e12; mu = the budget
     # is refused too, since the window reaches about mu
     gen = Generator(2, {(0, 1): 1.0})
     with pytest.raises(TransientBudgetError, match="budget is 2000000"):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -166,8 +167,9 @@ def test_place_order_and_interning():
 def test_tag_validation():
     with pytest.raises(ValueError):
         TransitionTag("bad tag", 0, 1.0)
-    with pytest.raises(ValueError):
-        TransitionTag("t", 0, 0.0)
+    for rate in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            TransitionTag("t", 0, rate)
     with pytest.raises(ValueError):
         place(("", 0))
     with pytest.raises(ValueError):

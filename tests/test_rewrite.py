@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -115,6 +116,12 @@ def test_rule_rates():
     r1, r2 = production_rules()
     assert (r1.tag, r1.rate) == ("r1", 0.005)
     assert (r2.tag, r2.rate) == ("r2", 0.01)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+def test_rule_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ValueError, match="rule rate must be positive"):
+        RewriteRule("r", rate, sites=lambda net: ())
 
 
 def test_injectivity_violation_detected():

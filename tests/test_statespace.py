@@ -258,5 +258,5 @@ def test_duplicate_edges_are_refused():
     ts = chain((0, 1, "x", 1.0))
     src, dst, kind = np.array([0, 0]), np.array([1, 1]), np.array([0, 1])
     with pytest.raises(AssertionError, match=r"duplicate edge \(0, 1, 'x'\)"):
-        TransitionSystem(ts.mode, ts._cells, ts._marks, ts.levels, src, dst, kind,
+        TransitionSystem(ts._cells, ts._marks, ts.levels, src, dst, kind,
                          [("x", 1.0), ("x", 2.0)])
