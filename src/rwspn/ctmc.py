@@ -6,14 +6,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
-from scipy.special import pdtr, pdtrc, pdtrik
 
-from .statespace import TransitionSystem
+from .statespace import TransitionSystem, _slices
 
 
 def _fmt(x: float) -> str:
@@ -69,9 +69,14 @@ class Generator:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         self.offdiag = sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
         self.diagonal = -np.asarray(self.offdiag.sum(axis=1)).ravel()
-        self.matrix = (self.offdiag + sp.diags(self.diagonal)).tocsr()
         self._live = self.diagonal != 0  # states with a nonzero exit rate
         self._uniformized = None
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """Q with its diagonal, as CSR; built on first read (``transient``
+        reads it, the exports and the lumping checks do not)."""
+        return (self.offdiag + sp.diags(self.diagonal)).tocsr()
 
     @property
     def max_exit_rate(self) -> float:
@@ -88,15 +93,13 @@ class Generator:
         rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
         # one repr per distinct rate, keyed by bit pattern since 0.0 == -0.0
         text: dict[int, str] = {}
-        reprs = [
-            text.get(bits) or text.setdefault(bits, repr(rate))
-            for rate, bits in zip(m.data.tolist(), m.data.view(np.int64).tolist())
-        ]
         with open(path, "w") as fh:
             fh.write(f"{self.n}\n")
-            fh.writelines(
-                f"{i} {j} {s}\n" for i, j, s in zip(rows.tolist(), m.indices.tolist(), reprs)
-            )
+            for part in _slices(rows, m.indices, m.data, m.data.view(np.int64)):
+                fh.writelines(
+                    f"{i} {j} {text.get(bits) or text.setdefault(bits, repr(rate))}\n"
+                    for i, j, rate, bits in zip(*part)
+                )
 
 
 def _edge_rates(ts: TransitionSystem) -> np.ndarray:
@@ -187,6 +190,9 @@ def lump_generator(gen: Generator, partition: Sequence[int], tol: float = 1e-9) 
 # share of the truncation budget ``eps`` given to the left Poisson tail
 _LEFT_SHARE = 1e-3
 
+# ``_poisson_window`` leaves out at most exp(-_TAIL) of Poisson mass per side
+_TAIL = 82.0
+
 
 def _poisson_window(mu: float, eps: float) -> tuple[int, int]:
     """Fox–Glynn truncation window ``(left, right)`` of Poisson(mu).
@@ -195,20 +201,27 @@ def _poisson_window(mu: float, eps: float) -> tuple[int, int]:
     ``_LEFT_SHARE * eps``; ``right`` is the smallest point whose right tail
     P(K > right) is below ``eps`` minus that left tail.  So less than ``eps``
     of Poisson mass lies outside ``left..right``.
+
+    The tails are sums of ``_poisson_weights``' recurrence (1 at the mode,
+    ·k/mu going down, ·mu/(k+1) going up) over ``lo..hi``, each summed from
+    its far end.  By Chernoff's bound P(K <= mu - x) <= exp(-x²/(2 mu)) and
+    Bernstein's P(K >= mu + x) <= exp(-x²/(2 (mu + x/3))), the ends
+    lo = mu - sqrt(2 c mu) and hi = mu + c/3 + sqrt(c²/9 + 2 c mu), with
+    c = ``_TAIL``, leave out at most 2 exp(-82) < 4.9e-36 of Poisson mass:
+    less than 2**-53 · ``_LEFT_SHARE`` · 2**-54 = 6.2e-36, the rounding unit
+    of the smallest left-tail threshold, as eps > 2**-54.
     """
-    left_eps = _LEFT_SHARE * eps
-    left = int(pdtrik(left_eps, mu))
-    while left > 0 and pdtr(left - 1, mu) > left_eps:
-        left -= 1
-    while pdtr(left, mu) <= left_eps:
-        left += 1
-    budget = eps - (pdtr(left - 1, mu) if left else 0.0)
-    right = max(left, int(np.ceil(pdtrik(1.0 - eps, mu))))
-    while right > left and pdtrc(right - 1, mu) < budget:
-        right -= 1
-    while pdtrc(right, mu) >= budget:
-        right += 1
-    return left, right
+    lo = max(0, math.floor(mu - math.sqrt(2 * _TAIL * mu)))
+    hi = math.ceil(mu + _TAIL / 3 + math.sqrt((_TAIL / 3) ** 2 + 2 * _TAIL * mu))
+    mode = int(mu)
+    below = (np.arange(mode, lo, -1) / mu).cumprod()[::-1]
+    above = (mu / np.arange(mode + 1, hi + 1)).cumprod()
+    head = below.cumsum()  # head[i]: mass of lo..lo+i, left of the mode
+    tail = np.concatenate((below, (1.0,), above))[::-1].cumsum()  # tail[i]: mass of hi-i..hi
+    total = tail[-1]
+    n = int(head.searchsorted(_LEFT_SHARE * eps * total, "right"))
+    budget = eps * total - (head[n - 1] if n else 0.0)
+    return lo + n, hi - int(tail.searchsorted(budget, "left"))
 
 
 def _poisson_weights(mu: float, left: int, right: int) -> np.ndarray:

@@ -15,6 +15,16 @@ from .rewrite import RewriteRule, State
 
 Edge = tuple[int, int, str, float]  # source, target, label, rate
 
+# entries per slice that the exports turn into Python lists and write
+_SLICE = 1 << 13
+
+
+def _slices(*arrays):
+    """The aligned slices of ``_SLICE`` entries of equal-length arrays, each
+    as a tuple of lists, so an export never holds a whole-file list."""
+    for start in range(0, len(arrays[0]), _SLICE):
+        yield tuple(a[start:start + _SLICE].tolist() for a in arrays)
+
 
 class BudgetExceededError(RuntimeError):
     """State budget exhausted during exploration."""
@@ -127,10 +137,8 @@ class TransitionSystem:
     def write_edges(self, path) -> None:
         tails = [f" {label} {rate!r}\n" for label, rate in self.kinds]
         with open(path, "w") as fh:
-            fh.writelines(
-                f"{s} {d}{tails[k]}"
-                for s, d, k in zip(self.src.tolist(), self.dst.tolist(), self.kind.tolist())
-            )
+            for src, dst, kind in _slices(self.src, self.dst, self.kind):
+                fh.writelines(f"{s} {d}{tails[k]}" for s, d, k in zip(src, dst, kind))
 
 
 def explore(

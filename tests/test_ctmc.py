@@ -8,6 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import poisson
@@ -84,6 +85,18 @@ def test_write_coo_prints_each_entry_with_its_repr(tmp_path):
     lines = (tmp_path / "g.coo").read_text().splitlines()
     assert lines == ["4", *(f"{i} {j} {rate!r}" for i, j, rate in gen.entries())]
     assert lines[1:3] == ["0 1 0.0", "0 2 0.3333333333333333"]
+
+
+def test_explore_path_never_builds_q(tmp_path):
+    # Q with its diagonal is built on its first read, which only
+    # ``transient`` makes; the exports leave it unbuilt
+    gen = build_generator(ordinary_ts(2))
+    gen.write_coo(tmp_path / "g.coo")
+    assert "matrix" not in vars(gen)
+    expected = (gen.offdiag + sp.diags(gen.diagonal)).tocsr()
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(gen.matrix, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_initial_aggregated_row():
@@ -297,14 +310,41 @@ def test_poisson_window_matches_scipy_stats(eps):
         assert right in (kmax, kmax + 1), mu
 
 
-def test_import_leaves_out_scipy_stats():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"],
+                         ids=lambda name: name.split(".")[1])
+def test_rwspn_process_leaves_out_scipy(module, tmp_path):
     src = str(Path(rwspn.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import rwspn, sys; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, rwspn; imported = sys.modules.copy()\n"
+        "from rwspn import cli\n"
+        f"assert cli.main(['solve', '--n', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"print({module!r} in imported, {module!r} in sys.modules)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
+@pytest.mark.parametrize("mu, eps", [(1985768.5058757993, 1e-9), (1492359.7715537474, 1e-6)])
+def test_poisson_window_is_exact_at_large_mu(mu, eps):
+    # scipy.special's pdtrc is off by about 4e-5 relative this far out in
+    # the tail, so a window placed by it has right one term short here
+    left, right = _poisson_window(mu, eps)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mu)
+
+        def below(k):  # P(K < k)
+            return mpmath.gammainc(k, m, mpmath.inf, regularized=True)
+
+        def beyond(k):  # P(K > k)
+            return mpmath.gammainc(k + 1, 0, m, regularized=True)
+
+        left_mass = below(left)
+        assert left_mass <= _LEFT_SHARE * eps < below(left + 1)
+        budget = eps - left_mass
+        assert beyond(right) < budget <= beyond(right - 1)
 
 
 def test_transient_budget():
