@@ -8,11 +8,14 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .bag import Bag, _from_items
 
 Pair = tuple[str, int]
 
 _TAG_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class NotEnabledError(RuntimeError):
@@ -101,7 +104,8 @@ class TransitionTag:
     def __post_init__(self):
         if not isinstance(self.tag, str) or not _TAG_RE.match(self.tag):
             raise ValueError(f"invalid transition tag {self.tag!r}")
-        if not isinstance(self.priority, int) or self.priority < 0:
+        priority = self.priority
+        if not isinstance(priority, int) or isinstance(priority, bool) or priority < 0:
             raise ValueError(f"invalid priority {self.priority!r}")
         object.__setattr__(self, "rate", float(self.rate))
         if not 0 < self.rate < math.inf:
@@ -257,10 +261,11 @@ class CompiledNet:
     ``places`` is the net's sorted place tuple, so a vector lists its entries
     in ``Bag.items()`` order.  ``transitions`` holds, in net order, each
     transition with its input, inhibitor and output as ``(index, count)``
-    tuples.
+    tuples.  ``step`` expands a block of markings, one int64 row each, from
+    arrays built on its first call.
     """
 
-    __slots__ = ("places", "index", "transitions", "_cells")
+    __slots__ = ("places", "index", "transitions", "_cells", "_arrays")
 
     def __init__(self, net: Net):
         self.places = net.places()
@@ -273,6 +278,7 @@ class CompiledNet:
             (t, pairs(t.input), pairs(t.inhibitor), pairs(t.output)) for t in net
         )
         self._cells = tuple(f" . {pl}" for pl in self.places)
+        self._arrays = None
 
     def encode(self, marking: Bag) -> tuple:
         vec = [0] * len(self.places)
@@ -280,6 +286,8 @@ class CompiledNet:
             i = self.index.get(pl)
             if i is None:
                 raise ValueError(f"marking uses a place absent from the net: {pl}")
+            if c > _INT64_MAX:
+                raise ValueError(f"token count {c} on {pl} does not fit in int64")
             vec[i] = c
         return tuple(vec)
 
@@ -290,34 +298,62 @@ class CompiledNet:
         """``Bag.render`` of the decoded marking, byte for byte."""
         return " + ".join([f"{c}{cell}" for c, cell in zip(vec, self._cells) if c]) or "nilP"
 
-    def successors(self, vec: tuple) -> Iterator[tuple[Transition, tuple]]:
-        """(transition, successor vector) per enabled instance, in net order.
-
-        An instance is enabled when it has concession (inputs covered, every
-        inhibitor bound respected) and no instance with concession has a
-        higher priority.
-        """
-        holders = []
-        for rec in self.transitions:
-            for i, need in rec[1]:
-                if vec[i] < need:
-                    break
-            else:
-                for i, bound in rec[2]:
-                    if vec[i] >= bound:
-                        break
-                else:
-                    holders.append(rec)
-        if holders:
-            top = max(rec[0].tag.priority for rec in holders)
-            holders = [rec for rec in holders if rec[0].tag.priority == top]
-        for t, inp, _inh, out in holders:
-            nxt = list(vec)
+    def _compile(self) -> tuple:
+        """The arrays of ``step``: one check per input pair (it fails below
+        the count) and per inhibitor pair (it fails at or above the bound),
+        grouped by transition; the transitions that have checks, with the
+        first check of each; priorities; and Δ = output − input."""
+        idx, thr, inhibits, checked, starts = [], [], [], [], []
+        delta = np.zeros((len(self.transitions), len(self.places)), dtype=np.int64)
+        for k, (_t, inp, inh, out) in enumerate(self.transitions):
+            if inp or inh:
+                checked.append(k)
+                starts.append(len(idx))
+            for checks, inhibit in ((inp, False), (inh, True)):
+                for i, c in checks:
+                    idx.append(i)
+                    thr.append(c)
+                    inhibits.append(inhibit)
             for i, c in inp:
-                nxt[i] -= c
+                delta[k, i] -= c
             for i, c in out:
-                nxt[i] += c
-            yield t, tuple(nxt)
+                delta[k, i] += c
+        self._arrays = (
+            np.array(idx, dtype=np.intp), np.array(thr, dtype=np.int64),
+            np.array(inhibits, dtype=bool), np.array(checked, dtype=np.intp),
+            np.array(starts, dtype=np.intp),
+            np.array([t.tag.priority for t, *_ in self.transitions], dtype=np.int64), delta,
+        )
+        return self._arrays
+
+    def step(self, block: np.ndarray) -> tuple:
+        """Concession and firing for every row of ``block``, an int64
+        matrix of marking vectors: ``(has, rows, ts, targets)``.
+
+        ``has[r, k]`` tells whether transition ``k`` has concession in row
+        ``r`` (inputs covered, every inhibitor bound respected).  An
+        instance is enabled when it has concession and no instance with
+        concession in its row has a higher priority; ``rows`` and ``ts``
+        list the enabled (row, transition) pairs, by row and then in net
+        order, and ``targets`` the marking each of them fires to.
+        """
+        idx, thr, inhibits, checked, starts, priority, delta = self._arrays or self._compile()
+        has = np.ones((len(block), len(self.transitions)), dtype=bool)
+        fails = (block[:, idx] < thr) != inhibits
+        has[:, checked] = ~np.logical_or.reduceat(fails, starts, axis=1)
+        top = np.where(has, priority, -1).max(axis=1, initial=-1)
+        rows, ts = np.nonzero(has & (priority == top[:, None]))
+        targets = block[rows]
+        targets += delta[ts]
+        return has, rows, ts, targets
+
+    def successors(self, vec: tuple) -> list[tuple[Transition, tuple]]:
+        """(transition, successor vector) per enabled instance, in net
+        order: ``step`` on the one-row block of ``vec``."""
+        _has, _rows, ts, targets = self.step(np.array([vec], dtype=np.int64))
+        return [
+            (self.transitions[t][0], tuple(nxt)) for t, nxt in zip(ts.tolist(), targets.tolist())
+        ]
 
 
 class System:

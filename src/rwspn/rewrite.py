@@ -1,12 +1,14 @@
-"""Rewrite rules compiled per net, match enumeration, and the one successor
-function: firing and rewrite rates aggregated into (normalized) target
-states."""
+"""Rewrite rules compiled per net, and the one successor function,
+``expand``: the firing successors and rule matches of a block of marking
+vectors, which the per-state functions below run on one row."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .bag import Bag
 from .canon import normalize_vector
@@ -27,37 +29,25 @@ class InjectivityError(RuntimeError):
 
 
 class RuleSite(NamedTuple):
-    """One match of a rule on a net, compiled to index arithmetic.
+    """One match of a rule on a net, compiled to array arithmetic.
 
-    ``need``, ``dead`` and the positions of ``moves`` index the compiled
-    places of the source net; the entries of ``moves`` and ``fixed`` index
-    those of ``target``.  The site matches a marking vector that covers ``need`` and in which no
-    ``dead`` transition has concession.  Its raw result is ``fixed`` plus,
-    for each source index, the tokens left after taking ``need`` moved to
-    ``moves[i]``; ``-1`` drops them, and ``None`` marks a place that is
-    absent from the target, where a token raises ``ValueError``.
+    ``need``, ``dead``, the rows of ``moves`` and ``absent`` index the
+    compiled places and transitions of the source net; the columns of
+    ``moves`` and the entries of ``fixed`` index the places of ``target``.
+    The site matches a marking row that covers ``need`` and in which no
+    ``dead`` transition has concession.  Its raw result is ``fixed`` plus
+    the tokens left after taking ``need``, moved through the 0/1 matrix
+    ``moves`` (a row of zeros drops them); a token left on an ``absent``
+    place, one that is absent from the target, raises ``ValueError``.
     """
 
     match: Match
-    need: tuple  # (index, count) pairs that the match consumes
-    dead: tuple  # (input pairs, inhibitor pairs) per transition
+    need: np.ndarray  # int64 count per source place that the match consumes
+    dead: np.ndarray  # indices of the source transitions that must lack concession
     target: Net
-    moves: tuple
-    fixed: tuple
-
-    def apply(self, vec: tuple) -> tuple:
-        """The raw target vector of a marking vector that this site matches."""
-        rest = list(vec)
-        for i, c in self.need:
-            rest[i] -= c
-        out = list(self.fixed)
-        for i, (c, j) in enumerate(zip(rest, self.moves)):
-            if c and j != -1:
-                if j is None:
-                    raise ValueError(f"result marks a place absent from the target net "
-                                     f"(source place {i})")
-                out[j] += c
-        return tuple(out)
+    moves: np.ndarray  # int64 (source places x target places)
+    absent: np.ndarray  # source places whose tokens have no target place
+    fixed: np.ndarray  # int64 count per target place
 
 
 def compile_site(
@@ -76,17 +66,27 @@ def compile_site(
     ``ValueError`` when a token is moved there)."""
     cnet, tnet = net.compiled(), target.net.compiled()
     subnet = set(dead.transitions)
-    moves = []
-    for pl in cnet.places:
+    counts = np.zeros(len(cnet.places), dtype=np.int64)
+    for pl, c in need.items():
+        counts[cnet.index[pl]] = c
+    moves = np.zeros((len(cnet.places), len(tnet.places)), dtype=np.int64)
+    absent = []
+    for i, pl in enumerate(cnet.places):
         to = dest(pl)
-        moves.append(-1 if to is None else tnet.index.get(to))
+        if to is not None:
+            j = tnet.index.get(to)
+            if j is None:
+                absent.append(i)
+            else:
+                moves[i, j] = 1
     return RuleSite(
         match,
-        tuple((cnet.index[pl], c) for pl, c in need.items()),
-        tuple((inp, inh) for t, inp, inh, _out in cnet.transitions if t in subnet),
+        counts,
+        np.array([k for k, rec in enumerate(cnet.transitions) if rec[0] in subnet], dtype=np.intp),
         target.net,
-        tuple(moves),
-        tnet.encode(target.marking),
+        moves,
+        np.array(absent, dtype=np.intp),
+        np.array(tnet.encode(target.marking), dtype=np.int64),
     )
 
 
@@ -126,29 +126,84 @@ def rule_sites(rule: RewriteRule, net: Net) -> tuple[RuleSite, ...]:
 State = tuple[Net, tuple]  # a net and a marking vector over its compiled places
 
 
+def expand(net: Net, block: np.ndarray, rules: Sequence[RewriteRule]) -> tuple[list, list]:
+    """The raw successors of every marking row of ``block``, an int64
+    matrix over ``net.compiled()``: ``(steps, failures)``.  A step is
+    ``(rows, target net, target rows, rule, how)``.
+
+    This is the one code path that expands states: ``explore`` runs it on
+    each BFS level's group of states of one net, and the per-state
+    functions below run it on a one-row block.  The first step is
+    ``CompiledNet.step``'s firing: the enabled instances by row, then in
+    net order; its rule is ``None`` and ``how`` holds the transition
+    index of each row.  Then, in rule order and match order, one step per
+    site with a matching row, its rows ascending; ``how`` is the site.  So
+    the steps of one row list its successors in firing order, then rule
+    order and match order.
+
+    ``failures`` lists ``(row, error)`` for each row whose expansion
+    fails, in row order, with the error that expanding that row alone
+    raises first (rule order, then match order): the ``ValueError`` of a
+    token left on a place absent from a site's target, or the
+    ``InjectivityError`` of two matches of one rule with the same raw
+    result.
+    """
+    has, rows, ts, targets = net.compiled().step(block)
+    steps = [(rows, net, targets, None, ts)]
+    errors = []  # (row, rule number, site number, error)
+    for r, rule in enumerate(rules):
+        found = []
+        for s, site in enumerate(rule_sites(rule, net)):
+            hit = np.flatnonzero((block >= site.need).all(axis=1) & ~has[:, site.dead].any(axis=1))
+            if not hit.size:
+                continue
+            rest = block[hit] - site.need
+            left = rest[:, site.absent] != 0
+            for k in np.flatnonzero(left.any(axis=1)).tolist():
+                i = site.absent[left[k].argmax()]
+                errors.append((hit[k], r, s, ValueError(
+                    f"result marks a place absent from the target net (source place {i})")))
+            found.append((s, hit, site, site.fixed + rest @ site.moves))
+        errors += _collisions(rule, r, found)
+        steps += [(hit, site.target, raw, rule, site) for _s, hit, site, raw in found]
+    failures: dict[int, Exception] = {}
+    for row, _r, _s, error in sorted(errors, key=lambda e: e[:3]):
+        failures.setdefault(int(row), error)
+    return steps, list(failures.items())
+
+
+def _collisions(rule: RewriteRule, r: int, found: list) -> list:
+    """(row, rule number, site number, InjectivityError) for each site
+    whose raw result, in some row, equals that of an earlier site."""
+    by_target: dict[Net, list] = {}
+    for entry in found:
+        by_target.setdefault(entry[2].target, []).append(entry)
+    errors = []
+    for entries in by_target.values():
+        if len(entries) < 2 or np.bincount(np.concatenate([e[1] for e in entries])).max() < 2:
+            continue  # no row matches two sites with this target
+        seen: dict[tuple, Match] = {}
+        for s, hit, site, raw in entries:
+            for key in zip(hit.tolist(), map(tuple, raw.tolist())):
+                if key in seen:
+                    errors.append((key[0], r, s, InjectivityError(rule.tag, seen[key], site.match)))
+                else:
+                    seen[key] = site.match
+    return errors
+
+
 def _rule_apps(rule: RewriteRule, net: Net, vec: tuple) -> list[tuple[Match, State]]:
     """(match, raw target state) for every site of the rule that matches.
 
     Raises InjectivityError if two matches yield the same raw state.
     """
-    seen: dict[State, Match] = {}
-    out = []
-    for site in rule_sites(rule, net):
-        for i, c in site.need:
-            if vec[i] < c:
-                break
-        else:
-            if any(
-                all(vec[i] >= c for i, c in inp) and all(vec[i] < b for i, b in inh)
-                for inp, inh in site.dead
-            ):
-                continue
-            raw = (site.target, site.apply(vec))
-            if raw in seen:
-                raise InjectivityError(rule.tag, seen[raw], site.match)
-            seen[raw] = site.match
-            out.append((site.match, raw))
-    return out
+    steps, failures = expand(net, np.array([vec], dtype=np.int64), (rule,))
+    if failures:
+        raise failures[0][1]
+    return [
+        (site.match, (target, tuple(raw[0].tolist())))
+        for _rows, target, raw, _rule, site in steps[1:]
+    ]
 
 
 def rule_app(rule: RewriteRule, system: System) -> tuple[tuple[Match, System], ...]:
@@ -169,14 +224,24 @@ def _normal(state: State, memo: dict) -> State:
     return nf
 
 
-def _rule_steps(net: Net, vec: tuple, rules: Sequence[RewriteRule], quotient: bool, memo: dict):
-    """((target state, rule tag), rate) for every match, in rule order, then
-    match order.  Targets are normalized in quotient mode and, otherwise,
-    for rules that normalize their results."""
-    for rule in rules:
-        normalized = quotient or rule.normalize_result
-        for _match, raw in _rule_apps(rule, net, vec):
-            yield (_normal(raw, memo) if normalized else raw, rule.tag), rule.rate
+def _steps(net: Net, vec: tuple, rules: Sequence[RewriteRule], quotient: bool, memo: dict):
+    """(rule, target state, label, rate) for every successor of one state,
+    in firing order (``rule`` is None), then rule order and match order.
+    Targets are normalized in quotient mode and, otherwise, for rules that
+    normalize their results."""
+    steps, failures = expand(net, np.array([vec], dtype=np.int64), rules)
+    if failures:
+        raise failures[0][1]
+    transitions = net.compiled().transitions
+    for _rows, target, raws, rule, how in steps:
+        for k, raw in enumerate(raws.tolist()):
+            state = (target, tuple(raw))
+            if rule is None:
+                tag = transitions[how[k]][0].tag
+                yield None, _normal(state, memo) if quotient else state, tag.tag, tag.rate
+            else:
+                normalized = quotient or rule.normalize_result
+                yield rule, _normal(state, memo) if normalized else state, rule.tag, rule.rate
 
 
 def _successors(
@@ -184,23 +249,21 @@ def _successors(
 ) -> dict[tuple[State, str], float]:
     """Every successor of a state, as (target state, label) -> rate.
 
-    This is the one code path that expands a state: ``explore`` runs it,
-    ``fire_agg`` groups its firing results, and ``all_rewrites`` groups
-    the rule steps it adds.  In quotient mode every target is normalized
-    (``normalize_vector``), through ``memo``, a dict from raw to normal
-    state that the caller owns.  Rules run on the vector, through their
-    compiled sites.  Rates of equal (target, label) pairs are summed in
-    firing order (net order), then in rule and match order; this also
-    merges a firing and a rule result when a transition tag equals a rule
-    tag and both reach the same target.
+    This is one source's share of what ``explore`` computes for a whole
+    BFS level: ``expand`` on the one-row block of ``vec``, merged the way
+    ``explore`` merges a source's edges.  ``fire_agg`` groups its firing
+    results, and ``all_rewrites`` the rule steps of the one-row
+    ``expand``.  In quotient mode every target is normalized (``normalize_vector``),
+    through ``memo``, a dict from raw to normal state that the caller owns.
+    Rates of equal (target, label) pairs are summed in firing order (net
+    order), then in rule and match order; this also merges a firing and a
+    rule result when a transition tag equals a rule tag and both reach the
+    same target.
     """
     merged: dict[tuple[State, str], float] = {}
-    for t, nxt in net.compiled().successors(vec):
-        key = (_normal((net, nxt), memo) if quotient else (net, nxt), t.tag.tag)
-        merged[key] = merged.get(key, 0.0) + t.tag.rate
-    if rules:
-        for key, rate in _rule_steps(net, vec, rules, quotient, memo):
-            merged[key] = merged.get(key, 0.0) + rate
+    for _rule, target, label, rate in _steps(net, vec, rules, quotient, memo):
+        key = (target, label)
+        merged[key] = merged.get(key, 0.0) + rate
     return merged
 
 
@@ -224,7 +287,9 @@ def all_rewrites(system: System, rules: Sequence[RewriteRule]) -> dict[System, d
     """Bulk rule application: normalized target system -> per-rule rates."""
     vec = system.net.compiled().encode(system.marking)
     acc: dict[System, dict[str, float]] = {}
-    for (target, tag), rate in _rule_steps(system.net, vec, rules, True, {}):
+    for rule, target, tag, rate in _steps(system.net, vec, rules, True, {}):
+        if rule is None:
+            continue
         per_rule = acc.setdefault(System.decoded(*target), {})
         per_rule[tag] = per_rule.get(tag, 0.0) + rate
     return acc

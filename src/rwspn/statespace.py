@@ -17,6 +17,8 @@ Edge = tuple[int, int, str, float]  # source, target, label, rate
 
 # entries per slice that the exports turn into Python lists and write
 _SLICE = 1 << 13
+# odd base of the polynomial row hash that orders the rows for ``_distinct``
+_HASH_BASE = 0x9E3779B97F4A7C15
 
 
 def _slices(*arrays):
@@ -68,7 +70,7 @@ class TransitionSystem:
 
     Each state is held as its net and an int vector over ``net.compiled()``,
     with its rendered marking; ``states`` decodes a ``System`` on access.
-    The edges are the arrays ``src``, ``dst`` and ``kind``, sorted by
+    The edges are the int32 arrays ``src``, ``dst`` and ``kind``, sorted by
     (src, dst, label, rate); ``kind`` indexes ``kinds``, the sorted distinct
     (label, rate) pairs.  ``edges`` lists them as (src, dst, label, rate)
     tuples, built on first access.
@@ -81,7 +83,7 @@ class TransitionSystem:
         with the same source, target and label, which the successor merge
         must have summed into one."""
         by_pair = sorted(range(len(kinds)), key=kinds.__getitem__)
-        rank = np.empty(len(kinds), dtype=np.int64)
+        rank = np.empty(len(kinds), dtype=np.int32)
         rank[by_pair] = np.arange(len(kinds))
         self.kinds = tuple(kinds[i] for i in by_pair)
         kind = rank[kind]
@@ -154,16 +156,30 @@ def explore(
     rule match (parallel same-label edges merge, rates summed); rules whose
     right-hand side normalizes still do so, since that is part of the rule.
     In both modes a firing and a rule match with the same label and target
-    give one edge with the summed rate.
-    ``max_states`` is checked as each state is added.
+    give one edge with the summed rate, summed in firing order, then rule
+    order and match order.
 
     The BFS holds each state as its net and an int tuple over the net's
-    compiled form (``Net.compiled``) and expands it with the successor
-    function in ``rewrite``, the same one that ``to_augmented`` reads; it
-    fires and applies the rules' compiled sites on the tuples and
-    normalizes each distinct raw target once per call.  The result keeps
-    the tuples and the edges as arrays; no state is decoded to a
-    ``System`` unless ``TransitionSystem.states`` is read.
+    compiled form (``Net.compiled``) and expands one level at a time: the
+    level's states of each net are stacked into an int64 matrix that
+    ``rewrite.expand``, the one successor function, fires and rewrites as
+    a whole.  The level's raw targets are deduplicated per target net, and
+    each distinct one is normalized (in quotient mode, or for a rule that
+    normalizes) and looked up once.  The edges are kept as int32 arrays
+    per level.  The result keeps the tuples and the edges as arrays; no
+    state is decoded to a ``System`` unless ``TransitionSystem.states`` is
+    read.
+
+    ``max_states`` is checked as each state is added; ``BudgetExceededError``
+    reports ``max_states + 1`` states and the BFS level of the state that
+    did not fit.  A rule match that fails (``InjectivityError``, or the
+    ``ValueError`` of a token on a place absent from the target) is
+    raised for the failing state of the level that comes first in the
+    state numbering, with the error that this state raises first on its
+    own (rule order, then match order).  A level's rule matches are all
+    applied before any of the states they reach is added, so when the
+    states that one level reaches overflow the budget and a state of
+    that level holds a failing match, the rule error wins.
     """
     if mode not in ("quotient", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -178,26 +194,71 @@ def explore(
     states: list[State] = [start]
     levels: list[int] = [0]
     ids: dict[State, int] = {start: 0}
+    label_of: dict[str, int] = {}  # label -> label id
     kind_of: dict[tuple[str, float], int] = {}  # (label, rate) -> kind id
-    edges: list[int] = []  # src, dst, kind id per edge, flat
+    # int32 (src, dst, kind) arrays per level, after an empty one
+    edges: list[tuple] = [(np.zeros(0, dtype=np.int32),) * 3]
+
+    def expand_level(begin: int, end: int, level: int) -> tuple:
+        """Add the states that states[begin:end] reach; return the edges."""
+        groups: dict = {}
+        for i in range(begin, end):
+            groups.setdefault(states[i][0], []).append(i)
+        srcs, labels, rates = [], [], []
+        by_target: dict = {}  # (target net, normalized) -> [(offset, target rows)]
+        offset, failed = 0, []
+        for net, members in groups.items():
+            block = np.array([states[i][1] for i in members], dtype=np.int64)
+            steps, failures = rewrite.expand(net, block, rules)
+            if failures:
+                failed += [(states[members[row]], error) for row, error in failures]
+                continue
+            members = np.array(members, dtype=np.int64)
+            for rows, target, raws, rule, how in steps:
+                if not len(rows):
+                    continue
+                srcs.append(members[rows])
+                if rule is None:
+                    tags = [rec[0].tag for rec in net.compiled().transitions]
+                    label_ids = [label_of.setdefault(t.tag, len(label_of)) for t in tags]
+                    labels.append(np.array(label_ids, dtype=np.int64)[how])
+                    rates.append(np.array([t.rate for t in tags])[how])
+                else:
+                    label = label_of.setdefault(rule.tag, len(label_of))
+                    labels.append(np.full(len(rows), label))
+                    rates.append(np.full(len(rows), rule.rate))
+                normalized = quotient or (rule is not None and rule.normalize_result)
+                by_target.setdefault((target, normalized), []).append((offset, raws))
+                offset += len(rows)
+        if failed:
+            raise min(failed, key=lambda f: _rendered(f[0]))[1]
+        dst = np.empty(offset, dtype=np.int64)
+        for (target, normalized), parts in by_target.items():
+            raws = np.concatenate([part for _o, part in parts])
+            inverse, first = _distinct(raws)
+            tids = []
+            for vec in map(tuple, raws[first].tolist()):
+                state = rewrite._normal((target, vec), normal) if normalized else (target, vec)
+                tid = ids.get(state)
+                if tid is None:
+                    tid = ids[state] = len(states)
+                    states.append(state)
+                    levels.append(level)
+                    if max_states is not None and len(states) > max_states:
+                        raise BudgetExceededError(len(states), level, max_states)
+                tids.append(tid)
+            at = np.concatenate([np.arange(o, o + len(part)) for o, part in parts])
+            dst[at] = np.array(tids, dtype=np.int64)[inverse]
+        return _merged(np.concatenate(srcs), dst, np.concatenate(labels),
+                       np.concatenate(rates), list(label_of), kind_of) if offset else None
+
     level, begin = 0, 0
     while begin < len(states):  # expand states[begin:end], the last level found
         level += 1
         end = len(states)
-        for src in range(begin, end):
-            net, vec = states[src]
-            successors = rewrite._successors(net, vec, rules, quotient, normal)
-            for (target, label), rate in successors.items():
-                tid = ids.get(target)
-                if tid is None:
-                    tid = len(states)
-                    ids[target] = tid
-                    states.append(target)
-                    levels.append(level)
-                    if max_states is not None and len(states) > max_states:
-                        raise BudgetExceededError(len(states), level, max_states)
-                kind = kind_of.setdefault((label, rate), len(kind_of))
-                edges += (src, tid, kind)
+        found = expand_level(begin, end, level)
+        if found:
+            edges.append(found)
         begin = end
     del ids, normal
 
@@ -205,14 +266,61 @@ def explore(
     # level; the BFS appended by level, so ``levels`` is already in that order
     marks = [net.compiled().render(vec) for net, vec in states]
     order = sorted(range(len(states)), key=lambda i: (levels[i], states[i][0].render(), marks[i]))
-    remap = np.empty(len(states), dtype=np.int64)
+    remap = np.empty(len(states), dtype=np.int32)
     remap[order] = np.arange(len(states))
-    src, dst, kind = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    src, dst, kind = map(np.concatenate, zip(*edges))
     del edges
     return TransitionSystem(
         [states[i] for i in order], [marks[i] for i in order], levels,
         remap[src], remap[dst], kind, list(kind_of),
     )
+
+
+def _rendered(state: State) -> tuple[str, str]:
+    """``System.key`` of a state: its net and its marking, rendered."""
+    net, vec = state
+    return net.render(), net.compiled().render(vec)
+
+
+def _distinct(rows: np.ndarray) -> tuple:
+    """``_runs`` of the rows of an int64 matrix, sorted by a row hash.  A
+    row starts a run unless it equals the row before it, so a hash
+    collision can only leave one row in two runs, never merge two
+    different rows."""
+    # powers of an odd base; uint64 and int64 array arithmetic wraps, as a hash may
+    weights = np.full(rows.shape[1], _HASH_BASE, dtype=np.uint64).cumprod().view(np.int64)
+    return _runs(np.lexsort((rows @ weights,)), rows)
+
+
+def _merged(src, dst, label, rate, labels: list, kind_of: dict) -> tuple:
+    """One level's edges as int32 (src, dst, kind) arrays: the raw edges
+    with equal (src, dst, label) merged, their rates summed in input
+    order (``np.bincount`` adds sequentially), and each (label, summed
+    rate) pair numbered through ``kind_of``."""
+    group, first = _runs(np.lexsort((label, dst, src)), src, dst, label)
+    rate = np.bincount(group, weights=rate)
+    src, dst, label = src[first], dst[first], label[first]
+    pair, first = _runs(np.lexsort((rate, label)), label, rate)
+    kinds = [
+        kind_of.setdefault((labels[lab], r), len(kind_of))
+        for lab, r in zip(label[first].tolist(), rate[first].tolist())
+    ]
+    return src.astype(np.int32), dst.astype(np.int32), np.array(kinds, dtype=np.int32)[pair]
+
+
+def _runs(order: np.ndarray, *keys) -> tuple:
+    """Number the runs of equal entries (rows, for a matrix) of equal-length
+    ``keys`` taken in ``order``: (each position's run, the first position
+    of each run)."""
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        differs = ranked[1:] != ranked[:-1]
+        new[1:] |= differs.any(axis=1) if differs.ndim > 1 else differs
+    run = np.empty(len(order), dtype=np.int64)
+    run[order] = np.cumsum(new) - 1
+    return run, order[new]
 
 
 def quotient_partition(ordinary: TransitionSystem, quotient: TransitionSystem) -> list[int]:

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rwspn import (
@@ -20,6 +21,8 @@ from rwspn import (
     npl_net,
     place,
 )
+
+from rwspn.rewrite import expand
 
 from conftest import ordinary_ts, random_marking
 
@@ -52,12 +55,43 @@ def assert_kernel_matches(system: System) -> None:
     assert kernel_successors(system) == reference_successors(system)
 
 
+def assert_batch_matches(net: Net, markings: list) -> None:
+    """The batch expansion of all ``markings`` of ``net``, stacked into one
+    block, against the reference, marking by marking."""
+    cnet = net.compiled()
+    block = np.array([cnet.encode(m) for m in markings], dtype=np.int64)
+    block = block.reshape(len(markings), len(cnet.places))
+    has = cnet.step(block)[0]
+    assert has.shape == (len(markings), len(net))
+    for row, m in zip(has.tolist(), markings):
+        assert row == [has_concession(t, m) for t in net]
+    steps, failures = expand(net, block, ())
+    assert failures == [] and len(steps) == 1
+    rows, target, targets, rule, ts = steps[0]
+    assert target is net and rule is None
+    assert targets.shape == (len(rows), len(cnet.places))
+    assert list(rows) == sorted(rows)
+    got = [[] for _ in markings]
+    for r, t, nxt in zip(rows.tolist(), ts.tolist(), targets.tolist()):
+        got[r].append((cnet.transitions[t][0], cnet.decode(tuple(nxt))))
+    assert got == [reference_successors(System(net, m)) for m in markings]
+
+
+def by_net(ts) -> dict:
+    groups = {}
+    for s in ts.states:
+        groups.setdefault(s.net, []).append(s.marking)
+    return groups
+
+
 def small_nets():
     low = Transition(Bag({W0: 1}), Bag({A0: 1}), Bag(), TransitionTag("low", 0, 1.0))
     high = Transition(Bag({W0: 1}), Bag({F0: 1}), Bag(), TransitionTag("high", 1, 1.0))
     guarded = Transition(Bag({W0: 1}), Bag({A0: 1}), Bag({F0: 2}), TransitionTag("t"))
     line = Transition(Bag({W0: 1}), Bag({A0: 1}), Bag({F0: 1}), TransitionTag("ln", 0, 0.1))
     refill = Transition(Bag({A0: 2}), Bag({W0: 1, F0: 1}), Bag(), TransitionTag("rf", 2, 3.0))
+    # no input and no inhibitor: concession without a single check
+    source = Transition(Bag(), Bag({A0: 1}), Bag(), TransitionTag("src", 0, 2.0))
     return {
         "priority": Net((low, high)),
         "no-competitor": Net((low,)),
@@ -65,6 +99,7 @@ def small_nets():
         "duplicates": Net((line, line)),
         "three-priorities": Net((low, high, guarded, refill)),
         "empty": Net(),
+        "source": Net((source, high)),
     }
 
 
@@ -74,6 +109,35 @@ def test_kernel_on_priority_and_inhibitor_nets(name):
     places = net.places()
     for counts in itertools.product(range(4), repeat=len(places)):
         assert_kernel_matches(System(net, Bag(dict(zip(places, counts)))))
+
+
+@pytest.mark.parametrize("name", small_nets())
+def test_batch_on_priority_and_inhibitor_nets(name):
+    net = small_nets()[name]
+    places = net.places()
+    markings = [
+        Bag(dict(zip(places, counts))) for counts in itertools.product(range(4), repeat=len(places))
+    ]
+    assert_batch_matches(net, markings)
+    # a group in which no row has an enabled transition
+    stuck = [m for m in markings if not reference_successors(System(net, m))]
+    assert bool(stuck) == (name != "source")
+    if stuck:
+        assert_batch_matches(net, stuck)
+
+
+def test_batch_on_ordinary_state_space_with_rules():
+    groups = by_net(ordinary_ts(2))
+    assert sum(map(len, groups.values())) == 773
+    for net, markings in groups.items():
+        assert_batch_matches(net, markings)
+
+
+def test_batch_on_firing_only_state_space():
+    groups = by_net(explore(build_npl_sys(1, 3, 3), (), mode="ordinary"))
+    assert [len(markings) for markings in groups.values()] == [400]
+    for net, markings in groups.items():
+        assert_batch_matches(net, markings)
 
 
 def test_kernel_on_ordinary_state_space_with_rules():
@@ -94,6 +158,16 @@ def test_encode_rejects_foreign_places():
     net = Net((Transition(Bag({W0: 1}), Bag({A0: 1}), Bag(), TransitionTag("t")),))
     with pytest.raises(ValueError):
         net.compiled().encode(Bag({F0: 1}))
+
+
+def test_encode_refuses_counts_outside_int64():
+    net = Net((Transition(Bag({W0: 1}), Bag({A0: 1}), Bag(), TransitionTag("t")),))
+    top = 2**63 - 1
+    assert net.compiled().encode(Bag({W0: top})) == (0, top)
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        net.compiled().encode(Bag({W0: top + 1}))
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        explore(System(net, Bag({W0: top + 1})), mode="ordinary")
 
 
 def test_vector_normalize_matches_brute_force_on_ordinary_states():

@@ -176,6 +176,19 @@ def test_tag_validation():
         place(("w", -1))
 
 
+def test_bool_priority_is_refused_and_cannot_reach_the_pool():
+    # True == 1 and hash(True) == hash(1), so an accepted True would be
+    # interned as the priority-1 transition and render as "True" for it
+    arcs = (Bag({W0: 1}), Bag({A0: 1}), Bag())
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"invalid priority {flag}"):
+            Transition(*arcs, TransitionTag("pooled", flag, 2.0))
+    for priority in (1, 0):
+        t = Transition(*arcs, TransitionTag("pooled", priority, 2.0))
+        assert t.tag.priority is priority
+        assert Net((t,)).render().endswith(f'<< "pooled", {priority}, 2.0 >>')
+
+
 def test_duplicate_transitions_kept():
     net = Net((LINE, LINE))
     assert len(net) == 2

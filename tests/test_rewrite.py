@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rwspn import (
@@ -15,6 +16,7 @@ from rwspn import (
     apply_assignment,
     build_npl_sys,
     compile_site,
+    explore,
     faulty_sys,
     fire_agg,
     join,
@@ -25,6 +27,8 @@ from rwspn import (
     rule_app,
     to_augmented,
 )
+
+from rwspn.rewrite import expand
 
 from conftest import quotient_ts
 
@@ -124,10 +128,11 @@ def test_rule_rate_must_be_positive_and_finite(rate):
         RewriteRule("r", rate, sites=lambda net: ())
 
 
-def test_injectivity_violation_detected():
+def colliding_rule() -> tuple[System, RewriteRule]:
+    """A one-place system and a rule with two sites that need nothing and
+    both mark the place twice."""
     sink = place(("x", 0))
     net = Net((Transition(Bag({sink: 1}), Bag({sink: 1}), Bag(), TransitionTag("t")),))
-    # two sites that need nothing and both mark the sink twice
     bad = RewriteRule(
         "bad",
         1.0,
@@ -136,8 +141,47 @@ def test_injectivity_violation_detected():
             for m in (0, 1)
         ],
     )
+    return System(net, Bag({sink: 1})), bad
+
+
+def test_injectivity_violation_detected():
+    system, bad = colliding_rule()
     with pytest.raises(InjectivityError):
-        rule_app(bad, System(net, Bag({sink: 1})))
+        rule_app(bad, system)
+
+
+@pytest.mark.parametrize("mode", ["quotient", "ordinary"])
+def test_explore_raises_the_injectivity_error(mode):
+    system, bad = colliding_rule()
+    with pytest.raises(InjectivityError) as direct:
+        rule_app(bad, system)
+    with pytest.raises(InjectivityError) as explored:
+        explore(system, (bad,), mode=mode)
+    assert str(explored.value) == str(direct.value) == "rule 'bad': matches (0,) and (1,) collide"
+    assert explored.value.matches == direct.value.matches == ((0,), (1,))
+
+
+def test_batch_collisions_are_per_row():
+    # site 0 consumes p, site 1 consumes q, and both leave the same marking:
+    # two rows that each match one site do not collide, a row that matches
+    # both does
+    p, q = place(("p", 0)), place(("q", 0))
+    net = Net((Transition(Bag({p: 1}), Bag({q: 1}), Bag(), TransitionTag("t")),))
+    rule = RewriteRule(
+        "pq",
+        1.0,
+        sites=lambda n: [
+            compile_site(n, (pl,), Bag({pl: 1}), Net(), System(n, Bag({q: 3})), lambda _pl: None)
+            for pl in (p, q)
+        ],
+    )
+    block = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
+    steps, failures = expand(net, block, (rule,))
+    assert [row for row, _error in failures] == [2]
+    assert str(failures[0][1]) == f"rule 'pq': matches {(p,)!r} and {(q,)!r} collide"
+    assert [list(rows) for rows, *_ in steps[1:]] == [[0, 2], [1, 2]]
+    steps, failures = expand(net, block[:2], (rule,))
+    assert failures == []
 
 
 def test_fire_agg_initial_aggregation():

@@ -18,6 +18,7 @@ from rwspn import (
     TransitionTag,
     compile_site,
     dead,
+    explore,
     detach,
     faulty_pl,
     faulty_sys,
@@ -98,16 +99,55 @@ def test_compiled_rules_match_object_level_rules(explored, n):
     assert min(applied.values()) > 0
 
 
+def keep_rule(target: Net) -> RewriteRule:
+    """A rule with one site that needs nothing and leaves every token on
+    its place, in the net ``target``."""
+    return RewriteRule(
+        "keep",
+        1.0,
+        sites=lambda n: [compile_site(n, (), Bag(), Net(), System(target), lambda pl: pl)],
+    )
+
+
 def test_token_on_a_place_absent_from_the_target_raises():
     a, b = place(("a", 0)), place(("b", 0))
     net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("t")),))
     only_b = Net((Transition(Bag({b: 1}), Bag({b: 1}), Bag(), TransitionTag("u")),))
     # every token stays on its place, but the target net has no place a
-    keep = RewriteRule(
-        "keep",
-        1.0,
-        sites=lambda n: [compile_site(n, (), Bag(), Net(), System(only_b), lambda pl: pl)],
-    )
+    keep = keep_rule(only_b)
     assert rule_app(keep, System(net, Bag({b: 1})))[0][1] == System(only_b, Bag({b: 1}))
     with pytest.raises(ValueError, match="absent from the target"):
         rule_app(keep, System(net, Bag({a: 1})))
+
+
+@pytest.mark.parametrize("mode", ["quotient", "ordinary"])
+def test_explore_raises_the_absent_place_error(mode):
+    a, b = place(("a", 0)), place(("b", 0))
+    net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("t")),))
+    only_b = Net((Transition(Bag({b: 1}), Bag({b: 1}), Bag(), TransitionTag("u")),))
+    keep, system = keep_rule(only_b), System(net, Bag({a: 1}))
+    with pytest.raises(ValueError) as direct:
+        rule_app(keep, system)
+    with pytest.raises(ValueError) as explored:
+        explore(system, (keep,), mode=mode)
+    assert str(explored.value) == str(direct.value) == (
+        "result marks a place absent from the target net (source place 0)"
+    )
+
+
+@pytest.mark.parametrize("mode", ["quotient", "ordinary"])
+@pytest.mark.parametrize("k, first", [(1, 1), (2, 2)])
+def test_explore_raises_for_the_first_failing_state_in_the_numbering(mode, k, first):
+    # s fires to k tokens on t or to one on u; both states fail the rule,
+    # each naming its own place, and "1 . u" sorts before "2 . t"
+    s, t, u = (place((tag, 0)) for tag in "stu")
+    net = Net((
+        Transition(Bag({s: 1}), Bag({t: k}), Bag(), TransitionTag("a")),
+        Transition(Bag({s: 1}), Bag({u: 1}), Bag(), TransitionTag("b")),
+    ))
+    only_s = Net((Transition(Bag({s: 1}), Bag({s: 1}), Bag(), TransitionTag("c")),))
+    with pytest.raises(ValueError) as err:
+        explore(System(net, Bag({s: 1})), (keep_rule(only_s),), mode=mode)
+    assert str(err.value) == (
+        f"result marks a place absent from the target net (source place {first})"
+    )

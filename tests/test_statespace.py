@@ -100,6 +100,28 @@ def test_budget_exceeded():
     assert err.value.budget == 50
 
 
+BUDGET_MODELS = {
+    "quotient N=2 with rules": (2, 2, 2, True, "quotient"),
+    "firing-only k=3 m=3 N=1": (1, 3, 3, False, "ordinary"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(BUDGET_MODELS))
+def test_budget_reports_the_state_and_level_that_did_not_fit(model):
+    n, k, m, with_rules, mode = BUDGET_MODELS[model]
+    system, rules = build_npl_sys(n, k, m), production_rules() if with_rules else ()
+    full = explore(system, rules, mode=mode)
+    # every level boundary, and one state on either side of it
+    starts = [b for b in range(1, len(full)) if full.levels[b] != full.levels[b - 1]]
+    budgets = sorted({b + d for b in (0, *starts) for d in (-1, 0, 1)} & set(range(len(full))))
+    assert len(budgets) > 2 * len(starts)
+    for b in budgets:
+        with pytest.raises(BudgetExceededError) as err:
+            explore(system, rules, mode=mode, max_states=b)
+        assert (err.value.states, err.value.level, err.value.budget) == (b + 1, full.levels[b], b)
+    assert len(explore(system, rules, mode=mode, max_states=len(full))) == len(full)
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_counts_the_initial_state(budget):
     with pytest.raises(BudgetExceededError) as err:
