@@ -5,6 +5,24 @@ before it form a sibling group; any permutation of a group's indices that
 is applied consistently to net and marking maps the system to an equivalent
 one.  ``normalize`` picks the representative whose rendering is minimal in
 byte order and re-densifies indices so that every group spans 0..k-1.
+
+``normalize_block`` does this for a block of marking vectors over one net
+without rendering any of them.  A marking renders as its nonzero cells in
+place order, each as the token ``"<count> . <place>"``, joined by
+``" + "``.  Byte order on two renderings over the same net is the
+lexicographic order of their token sequences, each token compared as the
+pair (count string, place string), a shorter sequence first:
+
+- two counts compare as strings, since the ``" "`` after a count sorts
+  below every digit, so a count that is a prefix of another sorts first;
+- two places compare as strings, since every place string ends in ``)``,
+  so none is a proper prefix of another;
+- ``"nilP"``, the rendering of the empty marking, meets no other
+  rendering: every candidate image of a row holds its counts.
+
+So each count is replaced by the rank of its decimal string and each
+place by the rank of its string, and per row the candidate whose token
+sequence is least is kept.
 """
 
 from __future__ import annotations
@@ -14,8 +32,10 @@ import math
 import random
 from typing import NamedTuple
 
+import numpy as np
+
 from .bag import Bag
-from .net import Net, Pair, Place, System, Transition
+from .net import _INT64_MAX, Net, Pair, Place, System, Transition
 
 GroupKey = tuple[tuple[Pair, ...], str]  # (label suffix, tag)
 Assignment = dict[GroupKey, dict[int, int]]
@@ -90,14 +110,14 @@ class _NetForm(NamedTuple):
     # the canonical net, None if that is the raw net itself: a net that
     # held itself through its form would be freed only by the collector
     net: Net | None
-    # per candidate: the raw-net place index that lands on each canonical
-    # place index, so a raw vector's image is ``[vec[i] for i in perm]``
-    perms: tuple
-    # per column-sorted group: place indices per column (group index), by row
+    # (candidates x places): row c holds the raw-net place index that lands
+    # on each canonical place index, so ``block[:, perms]`` is every image
+    perms: np.ndarray
+    # per column-sorted group: a (columns x rows) array of canonical place
+    # indices, the rows of a column in place order
     columns: tuple
-
-
-_END = ((math.inf,),)  # past every row: a column with no more cells is absent there
+    # per canonical place: the rank of its string among the net's places
+    ranks: np.ndarray
 
 
 def _swap_fixes(net: Net, key: GroupKey, i: int, k: int) -> bool:
@@ -142,6 +162,7 @@ def _net_form(net: Net) -> _NetForm:
                 best, kept = image, []
             if image is best:
                 kept.append(assignment)
+    places = best.compiled().places
     index = best.compiled().index
     perms = []
     for a in kept:
@@ -149,67 +170,124 @@ def _net_form(net: Net) -> _NetForm:
         for i, pl in enumerate(net.places()):
             perm[index[_rewrite_place(_rewrite_place(pl, densify), a)]] = i
         perms.append(tuple(perm))
+    perms = list(dict.fromkeys(perms))
     # rows of a sorted group in place order, so they rank in rendering order
     rows: dict = {}
-    for pl in best.places():
+    for pl in places:
         tag, i = pl.pairs[-1]
         if tag in sortable:
             rows.setdefault(tag, {}).setdefault(pl.pairs[:-1], {})[i] = index[pl]
     columns = []
     for by_row in rows.values():  # symmetric, so every row has every index
         k = len(next(iter(by_row.values())))
-        columns.append(tuple(tuple(cells[i] for cells in by_row.values()) for i in range(k)))
+        columns.append(np.array([[cells[i] for cells in by_row.values()] for i in range(k)],
+                                dtype=np.intp))
+    ranks = np.empty(len(places), dtype=np.int64)
+    ranks[sorted(range(len(places)), key=lambda j: str(places[j]))] = np.arange(len(places))
     form = net._cache[_NetForm] = _NetForm(
-        None if best is net else best, tuple(dict.fromkeys(perms)), tuple(columns)
+        None if best is net else best,
+        np.array(perms, dtype=np.intp).reshape(len(perms), len(places)),
+        tuple(columns),
+        ranks,
     )
     return form
 
 
-def _sort_columns(vec: tuple, columns: tuple) -> tuple:
-    """Renumber the indices of each column-sorted group by column content.
-
-    Columns compare cell by cell, row by row in place order: a present cell
-    comes before an absent one, and present cells compare by count as
-    decimal strings, which is the byte order of the rendered entries.
-    """
-    out = list(vec)
-    for group in columns:
-        def content(col: int) -> tuple:
-            return tuple((r, str(vec[j])) for r, j in enumerate(group[col]) if vec[j]) + _END
-
-        order = sorted(range(len(group)), key=content)
-        for new, old in enumerate(order):
-            if new != old:
-                for j_new, j_old in zip(group[new], group[old]):
-                    out[j_new] = vec[j_old]
-    return tuple(out)
+# most image cells (rows x candidates x places) that ``normalize_block``
+# builds at once, so that its memory does not grow with the block
+_CELLS = 1 << 16
 
 
-def _minimal(form: _NetForm, canon: Net, vec: tuple) -> tuple:
-    """The candidate image of a raw vector with the smallest rendering over
-    the canonical net ``canon``."""
-    render = canon.compiled().render
-    best = best_text = None
-    seen = set()
-    for perm in form.perms:
-        image = tuple([vec[i] for i in perm])
-        if image in seen:
-            continue
-        seen.add(image)
-        if form.columns:
-            image = _sort_columns(image, form.columns)
-        text = render(image)
-        if best is None or text < best_text:
-            best, best_text = image, text
-    return best
+def normalize_block(net: Net, block: np.ndarray) -> tuple[Net, np.ndarray]:
+    """``normalize`` on every row of ``block``, an int64 matrix of marking
+    vectors over ``net.compiled()``: the canonical net and the matrix of
+    normal-form vectors over its compiled places, row by row."""
+    form = _net_form(net)
+    step = max(1, _CELLS // max(1, form.perms.size))
+    out = np.empty_like(block)
+    for start in range(0, len(block), step):
+        out[start:start + step] = _least_images(form, block[start:start + step])
+    return form.net or net, out
+
+
+def _least_images(form: _NetForm, block: np.ndarray) -> np.ndarray:
+    """Per row of ``block``, the candidate image, column-sorted, with the
+    least rendering over the canonical net (see the module docstring)."""
+    flat = block.ravel()
+    inverse, first = _runs(np.lexsort((flat,)), flat)
+    values = flat[first]
+    # a cell's code: the rank of its count as a decimal string, or
+    # ``empty``, above every rank, if it holds no tokens
+    empty = len(values)
+    rank = {v: r for r, v in enumerate(sorted(values.tolist(), key=str))}
+    code = np.array([rank[v] if v else empty for v in values.tolist()], dtype=np.int64)
+    count = np.zeros(empty + 1, dtype=np.int64)
+    count[code] = values
+    images = code[inverse].reshape(block.shape)[:, form.perms]
+    # a column's key: its codes row by row, packed into one int64 if they fit
+    for group in form.columns:
+        cells = images[:, :, group]
+        if (empty + 1) ** group.shape[1] <= _INT64_MAX + 1:
+            key = cells[..., 0]
+            for r in range(1, group.shape[1]):
+                key = key * (empty + 1) + cells[..., r]
+            order = key.argsort(axis=-1, kind="stable")
+        else:
+            order = np.lexsort(np.moveaxis(cells[..., ::-1], -1, 0), axis=-1)
+        images[:, :, group] = np.take_along_axis(cells, order[..., None], axis=2)
+    # each image's tokens (code, place rank) in place order, moved to the
+    # front, then -1 past its last token
+    present = images != empty
+    rows, cands, places = np.nonzero(present)
+    per_image = present.sum(axis=2).ravel()
+    slot = np.arange(len(places)) - np.repeat(np.cumsum(per_image) - per_image, per_image)
+    tokens = np.full(images.shape[:2] + (int(per_image.max(initial=0)),), -1, dtype=np.int64)
+    tokens[rows, cands, slot] = (
+        images[rows, cands, places] * images.shape[2] + form.ranks[places]
+    )
+    alive = np.ones(images.shape[:2], dtype=bool)
+    for w in range(tokens.shape[2]):
+        token = np.where(alive, tokens[:, :, w], _INT64_MAX)
+        alive &= token == token.min(axis=1, keepdims=True)
+    return count[images[np.arange(len(block)), alive.argmax(axis=1)]]
+
+
+def _runs(order: np.ndarray, *keys) -> tuple:
+    """Number the runs of equal entries (rows, for a matrix) of equal-length
+    ``keys`` taken in ``order``: (each position's run, the first position
+    of each run)."""
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        differs = ranked[1:] != ranked[:-1]
+        new[1:] |= differs.any(axis=1) if differs.ndim > 1 else differs
+    run = np.empty(len(order), dtype=np.int64)
+    run[order] = np.cumsum(new) - 1
+    return run, order[new]
 
 
 def normalize_vector(net: Net, vec: tuple) -> tuple[Net, tuple]:
     """``normalize`` on a marking vector over ``net.compiled()``: the
-    canonical net and the normal-form vector over its compiled places."""
-    form = _net_form(net)
-    canon = form.net or net
-    return canon, _minimal(form, canon, vec)
+    canonical net and the normal-form vector over its compiled places;
+    ``normalize_block`` on one row."""
+    canon, out = normalize_block(net, np.array([vec], dtype=np.int64))
+    return canon, tuple(out[0].tolist())
+
+
+def normalize_states(states: list) -> list:
+    """The normal form of each (net, marking vector) pair, as such a pair;
+    the vectors of one net are normalized as one block."""
+    by_net: dict = {}
+    for i, (net, _vec) in enumerate(states):
+        by_net.setdefault(net, []).append(i)
+    out = [None] * len(states)
+    for net, members in by_net.items():
+        block = np.array([states[i][1] for i in members], dtype=np.int64)
+        canon, block = normalize_block(net, block)
+        for i, vec in zip(members, map(tuple, block.tolist())):
+            out[i] = (canon, vec)
+    return out
 
 
 def normalize(system: System) -> System:

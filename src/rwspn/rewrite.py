@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bag import Bag
-from .canon import normalize_vector
+from .canon import normalize_block
 from .net import Net, Place, System, _TAG_RE
 
 # Opaque rule-specific binding record; two matches are equal iff their
@@ -216,55 +216,26 @@ def rule_app(rule: RewriteRule, system: System) -> tuple[tuple[Match, System], .
     return tuple((match, System.decoded(*raw)) for match, raw in apps)
 
 
-def _normal(state: State, memo: dict) -> State:
-    """``normalize_vector`` of a raw state, looked up in ``memo`` first."""
-    nf = memo.get(state)
-    if nf is None:
-        nf = memo[state] = normalize_vector(*state)
-    return nf
-
-
-def _steps(net: Net, vec: tuple, rules: Sequence[RewriteRule], quotient: bool, memo: dict):
-    """(rule, target state, label, rate) for every successor of one state,
-    in firing order (``rule`` is None), then rule order and match order.
-    Targets are normalized in quotient mode and, otherwise, for rules that
-    normalize their results."""
+def _steps(net: Net, vec: tuple, rules: Sequence[RewriteRule]):
+    """(rule, normal target state, label, rate) for every successor of one
+    state, in firing order (``rule`` is None), then rule order and match
+    order: ``expand`` on the one-row block of ``vec``, each step's targets
+    normalized as one block (``normalize_block``)."""
     steps, failures = expand(net, np.array([vec], dtype=np.int64), rules)
     if failures:
         raise failures[0][1]
     transitions = net.compiled().transitions
-    for _rows, target, raws, rule, how in steps:
+    for rows, target, raws, rule, how in steps:
+        if not len(rows):
+            continue
+        target, raws = normalize_block(target, raws)
         for k, raw in enumerate(raws.tolist()):
             state = (target, tuple(raw))
             if rule is None:
                 tag = transitions[how[k]][0].tag
-                yield None, _normal(state, memo) if quotient else state, tag.tag, tag.rate
+                yield None, state, tag.tag, tag.rate
             else:
-                normalized = quotient or rule.normalize_result
-                yield rule, _normal(state, memo) if normalized else state, rule.tag, rule.rate
-
-
-def _successors(
-    net: Net, vec: tuple, rules: Sequence[RewriteRule], quotient: bool, memo: dict
-) -> dict[tuple[State, str], float]:
-    """Every successor of a state, as (target state, label) -> rate.
-
-    This is one source's share of what ``explore`` computes for a whole
-    BFS level: ``expand`` on the one-row block of ``vec``, merged the way
-    ``explore`` merges a source's edges.  ``fire_agg`` groups its firing
-    results, and ``all_rewrites`` the rule steps of the one-row
-    ``expand``.  In quotient mode every target is normalized (``normalize_vector``),
-    through ``memo``, a dict from raw to normal state that the caller owns.
-    Rates of equal (target, label) pairs are summed in firing order (net
-    order), then in rule and match order; this also merges a firing and a
-    rule result when a transition tag equals a rule tag and both reach the
-    same target.
-    """
-    merged: dict[tuple[State, str], float] = {}
-    for _rule, target, label, rate in _steps(net, vec, rules, quotient, memo):
-        key = (target, label)
-        merged[key] = merged.get(key, 0.0) + rate
-    return merged
+                yield rule, state, rule.tag, rule.rate
 
 
 def fire_agg(system: System) -> dict[Bag, dict[str, float]]:
@@ -274,12 +245,12 @@ def fire_agg(system: System) -> dict[Bag, dict[str, float]]:
     produce and by tag text; rates of instances in a group are summed in
     net iteration order.
     """
-    net = system.net
-    merged = _successors(net, net.compiled().encode(system.marking), (), True, {})
     acc: dict[Bag, dict[str, float]] = {}
-    # without rules every key is one (target, tag) firing result
-    for ((tnet, tvec), tag), rate in merged.items():
-        acc.setdefault(tnet.compiled().decode(tvec), {})[tag] = rate
+    for _rule, (tnet, tvec), tag, rate in _steps(
+        system.net, system.net.compiled().encode(system.marking), ()
+    ):
+        per_tag = acc.setdefault(tnet.compiled().decode(tvec), {})
+        per_tag[tag] = per_tag.get(tag, 0.0) + rate
     return acc
 
 
@@ -287,7 +258,7 @@ def all_rewrites(system: System, rules: Sequence[RewriteRule]) -> dict[System, d
     """Bulk rule application: normalized target system -> per-rule rates."""
     vec = system.net.compiled().encode(system.marking)
     acc: dict[System, dict[str, float]] = {}
-    for rule, target, tag, rate in _steps(system.net, vec, rules, True, {}):
+    for rule, target, tag, rate in _steps(system.net, vec, rules):
         if rule is None:
             continue
         per_rule = acc.setdefault(System.decoded(*target), {})

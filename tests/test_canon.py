@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from rwspn import (
@@ -22,12 +23,14 @@ from rwspn import (
     normalize_marking,
     npl_net,
     place,
+    production_rules,
     random_admissible_assignment,
     repl_share,
     sibling_groups,
     system_order,
 )
-from rwspn.canon import CanonBoundError, _arrangements
+from rwspn.canon import CanonBoundError, _arrangements, normalize_block, normalize_vector
+from rwspn.rewrite import expand
 
 from conftest import random_marking
 
@@ -384,3 +387,106 @@ def test_normalize_matches_oracle_on_sampled_k4_firing_targets():
                 assert normalize(s) == brute_force_normal(s)
         state = normalize(rng.choice(targets))
     assert len({normalize(s) for s in checked}) > 5
+
+
+def _two_sorted_groups_net():
+    # top-level groups "X" (4 rows: a/b over the inner "w" pair) and "Y"
+    # (2 rows), both column-sorted; the inner "w" groups leave 2!**3 = 8
+    # candidates per marking
+    moves = [
+        _move(place(("a", 0), ("w", w), ("X", i)), place(("b", 0), ("w", w), ("X", i)))
+        for i in range(3) for w in range(2)
+    ]
+    moves += [_move(place(("c", 0), ("Y", j)), place(("d", 0), ("Y", j))) for j in range(3)]
+    return Net(moves)
+
+
+def _tall_group_net():
+    # one column-sorted group of 17 rows: with 21 distinct counts in a
+    # block, 23**17 > 2**63, so the column keys do not pack into an int64
+    return Net(
+        _move(place((f"r{r}", 0), ("Z", i)), place((f"r{r + 1}", 0), ("Z", i)))
+        for i in range(3) for r in range(16)
+    )
+
+
+def _mixed_rows(net, rng, counts):
+    # counts that order differently as strings and as numbers, an all-zero
+    # row, columns that tie, and random rows
+    places = net.compiled().places
+    index = net.compiled().index
+    by_col: dict = {}
+    for pl in places:
+        by_col.setdefault(pl.pairs[-1], []).append(index[pl])
+    cols = sorted(by_col.values())
+    rows = [[0] * len(places)]
+    for a, b in ((2, 12), (9, 10), (12, 2), (10, 9)):
+        row = [0] * len(places)
+        row[cols[0][0]], row[cols[1][0]] = a, b
+        rows.append(row)
+        tie = list(row)
+        tie[cols[2][0]] = a  # the first and the last column alike
+        rows.append(tie)
+    same = [0] * len(places)
+    for col in cols:  # every column of each group alike
+        for r, j in enumerate(col):
+            same[j] = counts[r % len(counts)]
+    rows.append(same)
+    rows += [[rng.choice(counts) * (rng.random() < 0.5) for _ in places] for _ in range(60)]
+    return np.array(rows, dtype=np.int64)
+
+
+def _oracle_rows(net, block):
+    out = []
+    for vec in block.tolist():
+        s = brute_force_normal(System.decoded(net, tuple(vec)))
+        out.append((s.net, s.net.compiled().encode(s.marking)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, counts",
+    [
+        (_two_sorted_groups_net, (1, 2, 9, 10, 12)),
+        (_tall_group_net, (2, 12, 9, 10)),
+        (_tall_group_net, tuple(range(1, 22))),
+        (lambda: npl_net(3, 2), (1, 2, 9, 10, 12)),
+    ],
+    ids=["two-sorted-groups", "tall-packed", "tall-lexsort", "npl3"],
+)
+def test_block_matches_oracle_row_by_row(make, counts):
+    net = make()
+    block = _mixed_rows(net, random.Random(59), counts)
+    canon, normal = normalize_block(net, block)
+    expected = _oracle_rows(net, block)
+    assert [(canon, tuple(row)) for row in normal.tolist()] == expected
+
+
+def test_block_on_the_empty_net():
+    canon, normal = normalize_block(Net(), np.zeros((3, 0), dtype=np.int64))
+    assert canon is brute_force_normal(System(Net())).net
+    assert normal.shape == (3, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_equals_one_row_calls_on_every_raw_target(n):
+    # every raw target of the quotient state space, normalized per target
+    # net as one block (several chunks for the larger nets) and row by row
+    ts = explore(build_npl_sys(n, 2, 2), production_rules(), mode="quotient")
+    by_net: dict = {}
+    for net, vec in ts._cells:
+        by_net.setdefault(net, []).append(vec)
+    raws: dict = {}
+    for net, vecs in by_net.items():
+        steps, failures = expand(net, np.array(vecs, dtype=np.int64), production_rules())
+        assert not failures
+        for _rows, target, found, _rule, _how in steps:
+            raws.setdefault(target, []).append(found)
+    total = 0
+    for target, parts in raws.items():
+        block = np.concatenate(parts)
+        total += len(block)
+        canon, normal = normalize_block(target, block)
+        for row, vec in zip(normal.tolist(), block.tolist()):
+            assert (canon, tuple(row)) == normalize_vector(target, tuple(vec))
+    assert total > len(ts) - 1
