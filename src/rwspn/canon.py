@@ -129,7 +129,8 @@ def _net_form(net: Net) -> _NetForm:
     """Canonical net and marking candidates of a raw net, computed once
     and kept in ``net._cache``, so that the form is freed with the net.
 
-    The net is densified first.  If every adjacent transposition of every
+    The net is densified first: each group whose indices are not 0..k-1
+    is renamed onto them, so a dense net is kept as it is.  If every adjacent transposition of every
     sibling group fixes the dense net, those transpositions generate the
     admissible group, so the dense net is every assignment's image; the
     candidates are then the arrangements of the groups that the column sort
@@ -139,7 +140,8 @@ def _net_form(net: Net) -> _NetForm:
     form = net._cache.get(_NetForm)
     if form is not None:
         return form
-    densify = {key: dict(zip(ix, range(len(ix)))) for key, ix in sibling_groups(net)}
+    densify = {key: dict(zip(ix, range(len(ix))))
+               for key, ix in sibling_groups(net) if ix != tuple(range(len(ix)))}
     dense = apply_assignment(System(net), densify).net
     groups = [(key, ix) for key, ix in sibling_groups(dense) if len(ix) > 1]
     symmetric = all(
@@ -267,14 +269,6 @@ def _runs(order: np.ndarray, *keys) -> tuple:
     return run, order[new]
 
 
-def normalize_vector(net: Net, vec: tuple) -> tuple[Net, tuple]:
-    """``normalize`` on a marking vector over ``net.compiled()``: the
-    canonical net and the normal-form vector over its compiled places;
-    ``normalize_block`` on one row."""
-    canon, out = normalize_block(net, np.array([vec], dtype=np.int64))
-    return canon, tuple(out[0].tolist())
-
-
 def normalize_states(states: list) -> list:
     """The normal form of each (net, marking vector) pair, as such a pair;
     the vectors of one net are normalized as one block."""
@@ -299,14 +293,14 @@ def normalize(system: System) -> System:
     index strings like numbers only up to 10 siblings; larger groups still
     get one representative per class, which may not be the minimum.
     """
-    net, vec = normalize_vector(system.net, system.net.compiled().encode(system.marking))
-    return System.decoded(net, vec)
+    (state,) = normalize_states([(system.net, system.net.compiled().encode(system.marking))])
+    return System.decoded(*state)
 
 
 def normalize_marking(net: Net, marking: Bag) -> Bag:
     """Normal form of a marking over a net already in normal form."""
-    canon, vec = normalize_vector(net, net.compiled().encode(marking))
-    return canon.compiled().decode(vec)
+    canon, block = normalize_block(net, np.array([net.compiled().encode(marking)], dtype=np.int64))
+    return canon.compiled().decode(block[0].tolist())
 
 
 def apply_assignment(system: System, assignment: Assignment) -> System:

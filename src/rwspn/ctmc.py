@@ -194,16 +194,22 @@ _LEFT_SHARE = 1e-3
 _TAIL = 82.0
 
 
-def _poisson_window(mu: float, eps: float) -> tuple[int, int]:
-    """Fox–Glynn truncation window ``(left, right)`` of Poisson(mu).
+def _poisson_window(mu: float, eps: float) -> tuple[int, int, np.ndarray]:
+    """Fox–Glynn truncation window ``(left, right, weights)`` of Poisson(mu).
 
     ``left`` is the largest point whose left tail P(K < left) is at most
     ``_LEFT_SHARE * eps``; ``right`` is the smallest point whose right tail
     P(K > right) is below ``eps`` minus that left tail.  So less than ``eps``
     of Poisson mass lies outside ``left..right``.
 
-    The tails are sums of ``_poisson_weights``' recurrence (1 at the mode,
-    ·k/mu going down, ·mu/(k+1) going up) over ``lo..hi``, each summed from
+    ``weights`` are the Poisson(mu) weights of ``left..right``, normalized
+    to sum to 1, from Fox–Glynn's recurrence: 1 at the mode, ·k/mu going
+    down, ·mu/(k+1) going up, so no factor exceeds 1.  The rounding error
+    grows with the distance from the mode, not with mu as in
+    exp(k log mu - log k! - mu), and the weights are off the pmf in L1 by
+    the mass outside the window.
+
+    The tails are sums of the recurrence over ``lo..hi``, each summed from
     its far end.  By Chernoff's bound P(K <= mu - x) <= exp(-x²/(2 mu)) and
     Bernstein's P(K >= mu + x) <= exp(-x²/(2 (mu + x/3))), the ends
     lo = mu - sqrt(2 c mu) and hi = mu + c/3 + sqrt(c²/9 + 2 c mu), with
@@ -216,27 +222,15 @@ def _poisson_window(mu: float, eps: float) -> tuple[int, int]:
     mode = int(mu)
     below = (np.arange(mode, lo, -1) / mu).cumprod()[::-1]
     above = (mu / np.arange(mode + 1, hi + 1)).cumprod()
+    weights = np.concatenate((below, (1.0,), above))  # lo..hi
     head = below.cumsum()  # head[i]: mass of lo..lo+i, left of the mode
-    tail = np.concatenate((below, (1.0,), above))[::-1].cumsum()  # tail[i]: mass of hi-i..hi
+    tail = weights[::-1].cumsum()  # tail[i]: mass of hi-i..hi
     total = tail[-1]
     n = int(head.searchsorted(_LEFT_SHARE * eps * total, "right"))
     budget = eps * total - (head[n - 1] if n else 0.0)
-    return lo + n, hi - int(tail.searchsorted(budget, "left"))
-
-
-def _poisson_weights(mu: float, left: int, right: int) -> np.ndarray:
-    """Poisson(mu) weights of ``left..right``, normalized to sum to 1.
-
-    Fox–Glynn's recurrence from 1 at the mode: ·k/mu going down, ·mu/(k+1)
-    going up, so no factor exceeds 1.  The rounding error grows with the
-    distance from the mode, not with mu as in exp(k log mu - log k! - mu),
-    and the weights are off the pmf in L1 by the mass outside the window.
-    """
-    mode = min(max(int(mu), left), right)
-    below = np.cumprod(np.arange(mode, left, -1) / mu)[::-1]
-    above = np.cumprod(mu / np.arange(mode + 1, right + 1))
-    weights = np.concatenate((below, [1.0], above))
-    return weights / weights.sum()
+    left, right = lo + n, hi - int(tail.searchsorted(budget, "left"))
+    weights = weights[left - lo:right - lo + 1]
+    return left, right, weights / weights.sum()
 
 
 # most uniformization terms ``transient`` runs for one step
@@ -261,11 +255,11 @@ def transient(
 
     With P = I + Q / Λ, Λ = 1.02 × the largest exit rate and mu = Λt, the
     result is the sum of w[k] · pi0 P^k over the Fox–Glynn window
-    ``left..right`` of ``_poisson_window``, with the Poisson(mu) weights w of
-    ``_poisson_weights``.  The mass δ outside the window is below ``eps``
-    and the weights are within δ of the pmf in L1, so the result is within
-    2δ in L1; it is then clipped to nonnegative and renormalized.  The
-    mat-vecs below ``left`` still run, but add nothing to the sum.
+    ``left..right`` of ``_poisson_window``, with its Poisson(mu) weights w.
+    The mass δ outside the window is below ``eps`` and the weights are
+    within δ of the pmf in L1, so the result is within 2δ in L1; it is
+    then clipped to nonnegative and renormalized.  The mat-vecs below
+    ``left`` still run, but add nothing to the sum.
     ``details`` receives ``raw_mass`` (before renormalization; it differs
     from 1 by the mat-vecs' rounding drift) and ``terms``, the number of
     mat-vecs plus one.  ``t`` must be finite and nonnegative and ``eps`` in
@@ -297,7 +291,7 @@ def transient(
         raise TransientBudgetError(
             f"mu = {mu!r} needs about as many uniformization terms, budget is {_MAX_TERMS}"
         )
-    left, right = _poisson_window(mu, eps)
+    left, right, weights = _poisson_window(mu, eps)
     if right + 1 > _MAX_TERMS:
         raise TransientBudgetError(
             f"{right + 1} uniformization terms needed, budget is {_MAX_TERMS}"
@@ -305,7 +299,7 @@ def transient(
     if gen._uniformized is None:
         gen._uniformized = (sp.eye(gen.n, format="csr") + gen.matrix / lam).T.tocsr()
     pt = gen._uniformized
-    weights = _poisson_weights(mu, left, right).tolist()
+    weights = weights.tolist()
     # pt @ x through the kernel that ``@`` ends in, on two preallocated
     # vectors that swap roles; the kernel adds into y, so y is zeroed first
     csr = (gen.n, gen.n, pt.indptr, pt.indices, pt.data)

@@ -347,14 +347,6 @@ class CompiledNet:
         targets += delta[ts]
         return has, rows, ts, targets
 
-    def successors(self, vec: tuple) -> list[tuple[Transition, tuple]]:
-        """(transition, successor vector) per enabled instance, in net
-        order: ``step`` on the one-row block of ``vec``."""
-        _has, _rows, ts, targets = self.step(np.array([vec], dtype=np.int64))
-        return [
-            (self.transitions[t][0], tuple(nxt)) for t, nxt in zip(ts.tolist(), targets.tolist())
-        ]
-
 
 class System:
     """A net together with a marking of its places."""
@@ -427,7 +419,8 @@ def enabled_instances(system: System) -> tuple[Transition, ...]:
     are preempted.
     """
     cnet = system.net.compiled()
-    return tuple(t for t, _ in cnet.successors(cnet.encode(system.marking)))
+    _has, _rows, ts, _targets = cnet.step(np.array([cnet.encode(system.marking)], dtype=np.int64))
+    return tuple(cnet.transitions[k][0] for k in ts.tolist())
 
 
 def enabled(t: Transition, system: System) -> bool:

@@ -1,6 +1,14 @@
-"""Rewrite rules compiled per net, and the one successor function,
-``expand``: the firing successors and rule matches of a block of marking
-vectors, which the per-state functions below run on one row."""
+"""Rewrite rules compiled per net, and the successor pass that both
+``explore`` and the per-state functions below run.
+
+``expand`` computes the raw firing successors and rule matches of a block
+of marking vectors over one net.  ``_successors`` is the one place that
+turns a list of (net, vector) states into labelled, normalized
+successors: it groups the states by net, runs ``expand`` on each group,
+labels each raw edge and normalizes the distinct targets per target net.
+``explore`` runs it on each BFS level; ``to_augmented``, ``fire_agg`` and
+``all_rewrites`` run it once on their one state, and ``rule_app`` runs
+``expand`` on one row."""
 
 from __future__ import annotations
 
@@ -11,8 +19,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .bag import Bag
-from .canon import normalize_block
+from .canon import _runs, normalize_block
 from .net import Net, Place, System, _TAG_RE
+
+# odd base of the polynomial row hash that orders the rows for ``_distinct``
+_HASH_BASE = 0x9E3779B97F4A7C15
 
 # Opaque rule-specific binding record; two matches are equal iff their
 # bindings are equal.
@@ -131,9 +142,8 @@ def expand(net: Net, block: np.ndarray, rules: Sequence[RewriteRule]) -> tuple[l
     matrix over ``net.compiled()``: ``(steps, failures)``.  A step is
     ``(rows, target net, target rows, rule, how)``.
 
-    This is the one code path that expands states: ``explore`` runs it on
-    each BFS level's group of states of one net, and the per-state
-    functions below run it on a one-row block.  The first step is
+    ``_successors`` runs it on each group of states of one net, and
+    ``rule_app`` on a one-row block.  The first step is
     ``CompiledNet.step``'s firing: the enabled instances by row, then in
     net order; its rule is ``None`` and ``how`` holds the transition
     index of each row.  Then, in rule order and match order, one step per
@@ -192,50 +202,95 @@ def _collisions(rule: RewriteRule, r: int, found: list) -> list:
     return errors
 
 
-def _rule_apps(rule: RewriteRule, net: Net, vec: tuple) -> list[tuple[Match, State]]:
-    """(match, raw target state) for every site of the rule that matches.
-
-    Raises InjectivityError if two matches yield the same raw state.
-    """
-    steps, failures = expand(net, np.array([vec], dtype=np.int64), (rule,))
-    if failures:
-        raise failures[0][1]
-    return [
-        (site.match, (target, tuple(raw[0].tolist())))
-        for _rows, target, raw, _rule, site in steps[1:]
-    ]
-
-
 def rule_app(rule: RewriteRule, system: System) -> tuple[tuple[Match, System], ...]:
     """All (match, raw result) pairs of one rule, without normalization.
 
     Raises InjectivityError if two matches yield the same raw system.
     """
     net = system.net
-    apps = _rule_apps(rule, net, net.compiled().encode(system.marking))
-    return tuple((match, System.decoded(*raw)) for match, raw in apps)
-
-
-def _steps(net: Net, vec: tuple, rules: Sequence[RewriteRule]):
-    """(rule, normal target state, label, rate) for every successor of one
-    state, in firing order (``rule`` is None), then rule order and match
-    order: ``expand`` on the one-row block of ``vec``, each step's targets
-    normalized as one block (``normalize_block``)."""
-    steps, failures = expand(net, np.array([vec], dtype=np.int64), rules)
+    block = np.array([net.compiled().encode(system.marking)], dtype=np.int64)
+    steps, failures = expand(net, block, (rule,))
     if failures:
         raise failures[0][1]
-    transitions = net.compiled().transitions
-    for rows, target, raws, rule, how in steps:
-        if not len(rows):
+    return tuple(
+        (site.match, System.decoded(target, tuple(raw[0].tolist())))
+        for _rows, target, raw, _rule, site in steps[1:]
+    )
+
+
+def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient: bool,
+                intern: Callable[[State], int]) -> tuple:
+    """The successors of each (net, vector) state of ``states``, labelled
+    and normalized: ``(failures, src, dst, fired, label, labels, rate)``,
+    one entry per raw edge in each array.
+
+    The states are expanded per net as one block (``expand``).  An edge
+    holds its source's position in ``states``, whether it is a firing
+    (else a rule match), and the label (an index into ``labels``) and rate
+    of its transition's tag or of its rule; a source's edges come in firing
+    order, then rule order and match order.  The raw targets are
+    deduplicated per (target net, normalized), and each group is
+    normalized as one block (``normalize_block``) in ``quotient`` mode or
+    for a rule that normalizes.  ``intern`` is called once per distinct
+    target and ``dst`` holds the numbers it returns.  ``failures`` lists
+    ``(position, error)`` for each state whose ``expand`` fails, none
+    raised; if there is one, nothing is interned and the rest is None.
+    """
+    by_net: dict = {}
+    for i, (net, _vec) in enumerate(states):
+        by_net.setdefault(net, []).append(i)
+    # what gives each kind of edge its label and rate: the rules, then
+    # the transition tags of each net; per step, the kind of each edge
+    tags, kinds, srcs = list(rules), [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    groups: dict = {}  # (target net, normalized) -> ([edge positions], [target rows])
+    offset, failed = 0, []
+    for net, members in by_net.items():
+        block = np.array([states[i][1] for i in members], dtype=np.int64)
+        steps, failures = expand(net, block, rules)
+        if failures:
+            failed += [(members[row], error) for row, error in failures]
             continue
-        target, raws = normalize_block(target, raws)
-        for k, raw in enumerate(raws.tolist()):
-            state = (target, tuple(raw))
-            if rule is None:
-                tag = transitions[how[k]][0].tag
-                yield None, state, tag.tag, tag.rate
-            else:
-                yield rule, state, rule.tag, rule.rate
+        members = np.array(members, dtype=np.int64)
+        base = len(tags)
+        tags += [rec[0].tag for rec in net.compiled().transitions]
+        for rows, target, raws, rule, how in steps:
+            if not len(rows):
+                continue
+            srcs.append(members[rows])
+            kinds.append(how + base if rule is None else np.full(len(rows), rules.index(rule)))
+            normalized = quotient or (rule is not None and rule.normalize_result)
+            at, parts = groups.setdefault((target, normalized), ([], []))
+            at.append(np.arange(offset, offset + len(rows)))
+            parts.append(raws)
+            offset += len(rows)
+    if failed:
+        return (failed,) + (None,) * 6
+    dst = np.empty(offset, dtype=np.int64)
+    for (net, normalized), (at, parts) in groups.items():
+        raws = np.concatenate(parts)
+        inverse, first = _distinct(raws)
+        distinct = raws[first]
+        if normalized:
+            net, distinct = normalize_block(net, distinct)
+        vecs = distinct.tolist()
+        del distinct  # freed before the tuples: 1 MB less peak RSS, ordinary N=2 k=3 m=3
+        ids = [intern((net, vec)) for vec in map(tuple, vecs)]
+        dst[np.concatenate(at)] = np.array(ids, dtype=np.int64)[inverse]
+    src, kind = np.concatenate(srcs), np.concatenate(kinds)
+    label_of: dict[str, int] = {}
+    label = np.array([label_of.setdefault(t.tag, len(label_of)) for t in tags], dtype=np.int64)
+    rate = np.array([t.rate for t in tags], dtype=float)
+    return failed, src, dst, kind >= len(rules), label[kind], list(label_of), rate[kind]
+
+
+def _distinct(rows: np.ndarray) -> tuple:
+    """``_runs`` of the rows of an int64 matrix, sorted by a row hash.  A
+    row starts a run unless it equals the row before it, so a hash
+    collision can only leave one row in two runs, never merge two
+    different rows."""
+    # powers of an odd base; uint64 and int64 array arithmetic wraps, as a hash may
+    weights = np.full(rows.shape[1], _HASH_BASE, dtype=np.uint64).cumprod().view(np.int64)
+    return _runs(np.lexsort((rows @ weights,)), rows)
 
 
 def fire_agg(system: System) -> dict[Bag, dict[str, float]]:
@@ -245,25 +300,12 @@ def fire_agg(system: System) -> dict[Bag, dict[str, float]]:
     produce and by tag text; rates of instances in a group are summed in
     net iteration order.
     """
-    acc: dict[Bag, dict[str, float]] = {}
-    for _rule, (tnet, tvec), tag, rate in _steps(
-        system.net, system.net.compiled().encode(system.marking), ()
-    ):
-        per_tag = acc.setdefault(tnet.compiled().decode(tvec), {})
-        per_tag[tag] = per_tag.get(tag, 0.0) + rate
-    return acc
+    return to_augmented(system).firing_targets
 
 
 def all_rewrites(system: System, rules: Sequence[RewriteRule]) -> dict[System, dict[str, float]]:
     """Bulk rule application: normalized target system -> per-rule rates."""
-    vec = system.net.compiled().encode(system.marking)
-    acc: dict[System, dict[str, float]] = {}
-    for rule, target, tag, rate in _steps(system.net, vec, rules):
-        if rule is None:
-            continue
-        per_rule = acc.setdefault(System.decoded(*target), {})
-        per_rule[tag] = per_rule.get(tag, 0.0) + rate
-    return acc
+    return to_augmented(system, rules).rewrite_targets
 
 
 @dataclass(frozen=True)
@@ -282,10 +324,21 @@ class AugmentedState:
 
 
 def to_augmented(system: System, rules: Sequence[RewriteRule] = ()) -> AugmentedState:
-    """Augmented form of a system already in normal form."""
-    return AugmentedState(
-        net=system.net,
-        marking=system.marking,
-        firing_targets=fire_agg(system),
-        rewrite_targets=all_rewrites(system, rules),
+    """Augmented form of a system already in normal form: one
+    ``_successors`` pass over its state; raises the first failure of its
+    rule matches."""
+    net = system.net
+    ids: dict[State, int] = {}
+    failures, _src, dst, fired, label, labels, rate = _successors(
+        [(net, net.compiled().encode(system.marking))], rules, True,
+        lambda state: ids.setdefault(state, len(ids)),
     )
+    if failures:
+        raise failures[0][1]
+    targets = list(ids)
+    firing, rewrites = {}, {}  # normal target marking or system -> label -> rate
+    for k, fire, lab, r in zip(dst.tolist(), fired.tolist(), label.tolist(), rate.tolist()):
+        target = System.decoded(*targets[k])
+        per = firing.setdefault(target.marking, {}) if fire else rewrites.setdefault(target, {})
+        per[labels[lab]] = per.get(labels[lab], 0.0) + r
+    return AugmentedState(net, system.marking, firing, rewrites)

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from . import rewrite
-from .canon import _runs, normalize_block, normalize_states, normalize_vector
+from .canon import _runs, normalize_states
 from .net import System
 from .rewrite import RewriteRule, State
 
@@ -17,8 +17,6 @@ Edge = tuple[int, int, str, float]  # source, target, label, rate
 
 # entries per slice that the exports turn into Python lists and write
 _SLICE = 1 << 13
-# odd base of the polynomial row hash that orders the rows for ``_distinct``
-_HASH_BASE = 0x9E3779B97F4A7C15
 
 
 def _slices(*arrays):
@@ -160,14 +158,11 @@ def explore(
     order and match order.
 
     The BFS holds each state as its net and an int tuple over the net's
-    compiled form (``Net.compiled``) and expands one level at a time: the
-    level's states of each net are stacked into an int64 matrix that
-    ``rewrite.expand``, the one successor function, fires and rewrites as
-    a whole.  The level's raw targets are deduplicated per target net; the
-    distinct ones of each target net are normalized as one block
-    (``normalize_block``; in quotient mode, or for a rule that normalizes)
-    and each is looked up once.  The edges are kept as int32 arrays
-    per level.  The result keeps the tuples and the edges as arrays; no
+    compiled form (``Net.compiled``) and expands one level at a time
+    through ``rewrite._successors``, which labels the successors and
+    normalizes them per target net as one block; ``explore`` numbers each
+    distinct target once, merges the level's edges and keeps them as
+    int32 arrays.  The result keeps the tuples and the edges as arrays; no
     state is decoded to a ``System`` unless ``TransitionSystem.states`` is
     read.
 
@@ -187,83 +182,38 @@ def explore(
     quotient = mode == "quotient"
     start = (initial.net, initial.net.compiled().encode(initial.marking))
     if quotient:
-        start = normalize_vector(*start)
+        (start,) = normalize_states([start])
 
     if max_states is not None and max_states < 1:
         raise BudgetExceededError(1, 0, max_states)
     states: list[State] = [start]
     levels: list[int] = [0]
     ids: dict[State, int] = {start: 0}
-    label_of: dict[str, int] = {}  # label -> label id
     kind_of: dict[tuple[str, float], int] = {}  # (label, rate) -> kind id
     # int32 (src, dst, kind) arrays per level, after an empty one
     edges: list[tuple] = [(np.zeros(0, dtype=np.int32),) * 3]
 
-    def expand_level(begin: int, end: int, level: int) -> tuple:
-        """Add the states that states[begin:end] reach; return the edges."""
-        groups: dict = {}
-        for i in range(begin, end):
-            groups.setdefault(states[i][0], []).append(i)
-        srcs, labels, rates = [], [], []
-        by_target: dict = {}  # (target net, normalized) -> [(offset, target rows)]
-        offset, failed = 0, []
-        for net, members in groups.items():
-            block = np.array([states[i][1] for i in members], dtype=np.int64)
-            steps, failures = rewrite.expand(net, block, rules)
-            if failures:
-                failed += [(states[members[row]], error) for row, error in failures]
-                continue
-            members = np.array(members, dtype=np.int64)
-            for rows, target, raws, rule, how in steps:
-                if not len(rows):
-                    continue
-                srcs.append(members[rows])
-                if rule is None:
-                    tags = [rec[0].tag for rec in net.compiled().transitions]
-                    label_ids = [label_of.setdefault(t.tag, len(label_of)) for t in tags]
-                    labels.append(np.array(label_ids, dtype=np.int64)[how])
-                    rates.append(np.array([t.rate for t in tags])[how])
-                else:
-                    label = label_of.setdefault(rule.tag, len(label_of))
-                    labels.append(np.full(len(rows), label))
-                    rates.append(np.full(len(rows), rule.rate))
-                normalized = quotient or (rule is not None and rule.normalize_result)
-                by_target.setdefault((target, normalized), []).append((offset, raws))
-                offset += len(rows)
-        if failed:
-            raise min(failed, key=lambda f: _rendered(f[0]))[1]
-        dst = np.empty(offset, dtype=np.int64)
-        for (target, normalized), parts in by_target.items():
-            raws = np.concatenate([part for _o, part in parts])
-            inverse, first = _distinct(raws)
-            net, distinct = target, raws[first]
-            if normalized:
-                net, distinct = normalize_block(net, distinct)
-            vecs = distinct.tolist()
-            del distinct  # freed before the tuples: 1 MB less peak RSS, ordinary N=2 k=3 m=3
-            tids = []
-            for vec in map(tuple, vecs):
-                state = (net, vec)
-                tid = ids.get(state)
-                if tid is None:
-                    tid = ids[state] = len(states)
-                    states.append(state)
-                    levels.append(level)
-                    if max_states is not None and len(states) > max_states:
-                        raise BudgetExceededError(len(states), level, max_states)
-                tids.append(tid)
-            at = np.concatenate([np.arange(o, o + len(part)) for o, part in parts])
-            dst[at] = np.array(tids, dtype=np.int64)[inverse]
-        return _merged(np.concatenate(srcs), dst, np.concatenate(labels),
-                       np.concatenate(rates), list(label_of), kind_of) if offset else None
+    def intern(state: State) -> int:
+        """The id of ``state``, added at the current level if it is new."""
+        tid = ids.get(state)
+        if tid is None:
+            tid = ids[state] = len(states)
+            states.append(state)
+            levels.append(level)
+            if max_states is not None and len(states) > max_states:
+                raise BudgetExceededError(len(states), level, max_states)
+        return tid
 
     level, begin = 0, 0
     while begin < len(states):  # expand states[begin:end], the last level found
         level += 1
         end = len(states)
-        found = expand_level(begin, end, level)
-        if found:
-            edges.append(found)
+        failures, src, dst, _fired, label, labels, rate = rewrite._successors(
+            states[begin:end], rules, quotient, intern)
+        if failures:
+            raise min(failures, key=lambda f: System.decoded(*states[begin + f[0]]).key)[1]
+        if len(src):
+            edges.append(_merged(src + begin, dst, label, rate, labels, kind_of))
         begin = end
     del ids
 
@@ -279,22 +229,6 @@ def explore(
         [states[i] for i in order], [marks[i] for i in order], levels,
         remap[src], remap[dst], kind, list(kind_of),
     )
-
-
-def _rendered(state: State) -> tuple[str, str]:
-    """``System.key`` of a state: its net and its marking, rendered."""
-    net, vec = state
-    return net.render(), net.compiled().render(vec)
-
-
-def _distinct(rows: np.ndarray) -> tuple:
-    """``_runs`` of the rows of an int64 matrix, sorted by a row hash.  A
-    row starts a run unless it equals the row before it, so a hash
-    collision can only leave one row in two runs, never merge two
-    different rows."""
-    # powers of an odd base; uint64 and int64 array arithmetic wraps, as a hash may
-    weights = np.full(rows.shape[1], _HASH_BASE, dtype=np.uint64).cumprod().view(np.int64)
-    return _runs(np.lexsort((rows @ weights,)), rows)
 
 
 def _merged(src, dst, label, rate, labels: list, kind_of: dict) -> tuple:

@@ -19,6 +19,7 @@ from rwspn import (
     place,
     production_rules,
 )
+from rwspn.rewrite import RewriteRule, compile_site
 
 # property tests draw the same examples on every run and write no database
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -33,6 +34,22 @@ def quotient_ts(n: int, k: int = 2, m: int = 2):
 @lru_cache(maxsize=None)
 def ordinary_ts(n: int, k: int = 2, m: int = 2):
     return explore(build_npl_sys(n, k, m), production_rules(), mode="ordinary")
+
+
+def equal_tag_firing_and_rule() -> tuple[System, RewriteRule]:
+    """A token on a; transition "x" (rate 2.0) and rule "x" (rate 0.5)
+    both move it to b, so their edges share a label and a target."""
+    a, b = place(("a", 0)), place(("b", 0))
+    net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("x", rate=2.0)),))
+    # rule "x" takes the token on a, drops every other token and marks b
+    rule = RewriteRule(
+        "x",
+        0.5,
+        sites=lambda n: [
+            compile_site(n, (0,), Bag({a: 1}), Net(), System(n, Bag({b: 1})), lambda pl: None)
+        ],
+    )
+    return System(net, Bag({a: 1})), rule
 
 
 def chain(*edges):

@@ -29,7 +29,7 @@ from rwspn import (
     sibling_groups,
     system_order,
 )
-from rwspn.canon import CanonBoundError, _arrangements, normalize_block, normalize_vector
+from rwspn.canon import CanonBoundError, _arrangements, normalize_block
 from rwspn.rewrite import expand
 
 from conftest import random_marking
@@ -488,5 +488,6 @@ def test_block_equals_one_row_calls_on_every_raw_target(n):
         total += len(block)
         canon, normal = normalize_block(target, block)
         for row, vec in zip(normal.tolist(), block.tolist()):
-            assert (canon, tuple(row)) == normalize_vector(target, tuple(vec))
+            one, alone = normalize_block(target, np.array([vec], dtype=np.int64))
+            assert (canon, tuple(row)) == (one, tuple(alone[0].tolist()))
     assert total > len(ts) - 1

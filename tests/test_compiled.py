@@ -42,7 +42,10 @@ def reference_successors(system: System) -> list:
 
 def kernel_successors(system: System) -> list:
     cnet = system.net.compiled()
-    return [(t, cnet.decode(nxt)) for t, nxt in cnet.successors(cnet.encode(system.marking))]
+    _has, _rows, ts, targets = cnet.step(np.array([cnet.encode(system.marking)], dtype=np.int64))
+    return [
+        (cnet.transitions[k][0], cnet.decode(nxt)) for k, nxt in zip(ts.tolist(), targets.tolist())
+    ]
 
 
 def assert_kernel_matches(system: System) -> None:

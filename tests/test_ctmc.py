@@ -29,7 +29,7 @@ from rwspn import (
     throughput,
     transient,
 )
-from rwspn.ctmc import _LEFT_SHARE, _poisson_weights, _poisson_window
+from rwspn.ctmc import _LEFT_SHARE, _poisson_window
 
 from conftest import chain, ordinary_ts, quotient_ts
 
@@ -291,9 +291,8 @@ def _l1_from_poisson(weights, mu, left):
 @pytest.mark.parametrize("eps", [1e-9, 1e-12])
 def test_poisson_window_matches_scipy_stats(eps):
     for mu in MU_SWEEP:
-        left, right = _poisson_window(mu, eps)
+        left, right, weights = _poisson_window(mu, eps)
         # the weights are within eps of the pmf: off by the mass outside
-        weights = _poisson_weights(mu, left, right)
         assert _l1_from_poisson(weights.tolist(), mu, left) < eps, mu
         # left is the largest point with P(K < left) <= share * eps
         left_mass = poisson.cdf(left - 1, mu)
@@ -331,7 +330,7 @@ def test_rwspn_process_leaves_out_scipy(module, tmp_path):
 def test_poisson_window_is_exact_at_large_mu(mu, eps):
     # scipy.special's pdtrc is off by about 4e-5 relative this far out in
     # the tail, so a window placed by it has right one term short here
-    left, right = _poisson_window(mu, eps)
+    left, right, _weights = _poisson_window(mu, eps)
     with mpmath.workdps(40):
         m = mpmath.mpf(mu)
 
@@ -409,9 +408,9 @@ def test_transient_matvec_is_bit_identical_to_matmul(n):
     transient(gen, pi0, t, eps=eps)  # builds gen._uniformized
     pt = gen._uniformized
     mu = 1.02 * gen.max_exit_rate * t
-    left, right = _poisson_window(mu, eps)
+    left, right, weights = _poisson_window(mu, eps)
     assert left > 0
-    weights = _poisson_weights(mu, left, right).tolist()
+    weights = weights.tolist()
     vec = pi0
     for _ in range(left):
         vec = pt @ vec

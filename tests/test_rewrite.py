@@ -30,7 +30,7 @@ from rwspn import (
 
 from rwspn.rewrite import expand
 
-from conftest import quotient_ts
+from conftest import equal_tag_firing_and_rule, quotient_ts
 
 
 def faulted_deadlocked_pair():
@@ -225,11 +225,23 @@ def total_rate(targets: dict) -> float:
     return sum(r for per in targets.values() for r in per.values())
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_to_augmented_agrees_with_explore(n):
+def equal_tag_model():
+    system, rule = equal_tag_firing_and_rule()
+    return explore(system, (rule,)), (rule,)
+
+
+# the case study by its quotient N, and a net whose firing and rule merge
+PER_STATE_MODELS = {
+    "1": lambda: (quotient_ts(1), production_rules()),
+    "2": lambda: (quotient_ts(2), production_rules()),
+    "equal-tag firing and rule": equal_tag_model,
+}
+
+
+@pytest.mark.parametrize("model", PER_STATE_MODELS)
+def test_to_augmented_agrees_with_explore(model):
     # the augmented form of every quotient state gives exactly its out-edges
-    rules = production_rules()
-    ts = quotient_ts(n)
+    ts, rules = PER_STATE_MODELS[model]()
     index = {s: i for i, s in enumerate(ts.states)}
     out_edges = [{} for _ in ts.states]
     for src, dst, label, rate in ts.edges:
@@ -243,6 +255,52 @@ def test_to_augmented_agrees_with_explore(n):
                 key = (index[target], label)
                 expected[key] = expected.get(key, 0.0) + rate
         assert out_edges[i] == expected
+
+
+def test_per_state_functions_keep_firing_and_rule_apart():
+    # explore merges firing "x" (2.0) and rule "x" (0.5) into one 2.5 edge
+    system, rule = equal_tag_firing_and_rule()
+    b = place(("b", 0))
+    assert fire_agg(system) == {Bag({b: 1}): {"x": 2.0}}
+    assert all_rewrites(system, (rule,)) == {System(system.net, Bag({b: 1})): {"x": 0.5}}
+    aug = to_augmented(system, (rule,))
+    assert aug.firing_targets == {Bag({b: 1}): {"x": 2.0}}
+    assert aug.rewrite_targets == {System(system.net, Bag({b: 1})): {"x": 0.5}}
+
+
+def absent_place_rule() -> tuple[System, RewriteRule]:
+    """A token on a, and a rule that keeps every token on its place, in a
+    net that has no place a."""
+    a, b = place(("a", 0)), place(("b", 0))
+    net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("t")),))
+    only_b = System(Net((Transition(Bag({b: 1}), Bag({b: 1}), Bag(), TransitionTag("u")),)))
+    keep = RewriteRule(
+        "keep",
+        1.0,
+        sites=lambda n: [compile_site(n, (), Bag(), Net(), only_b, lambda pl: pl)],
+    )
+    return System(net, Bag({a: 1})), keep
+
+
+FAILING_RULES = {"injectivity": colliding_rule, "absent place": absent_place_rule}
+
+
+@pytest.mark.parametrize("mode", ["quotient", "ordinary"])
+@pytest.mark.parametrize("case", FAILING_RULES)
+def test_per_state_functions_raise_what_explore_raises(case, mode):
+    system, rule = FAILING_RULES[case]()
+    with pytest.raises((InjectivityError, ValueError)) as explored:
+        explore(system, (rule,), mode=mode)
+    calls = {
+        "to_augmented": lambda: to_augmented(system, (rule,)),
+        "all_rewrites": lambda: all_rewrites(system, (rule,)),
+        "rule_app": lambda: rule_app(rule, system),
+    }
+    for name, call in calls.items():
+        with pytest.raises(Exception) as direct:
+            call()
+        assert type(direct.value) is type(explored.value), name
+        assert str(direct.value) == str(explored.value), name
 
 
 def test_match_count_consistency():

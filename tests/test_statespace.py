@@ -21,9 +21,8 @@ from rwspn import (
 )
 from rwspn.ctmc import Generator, build_generator, throughput
 from rwspn.net import CompiledNet
-from rwspn.rewrite import RewriteRule, compile_site
 
-from conftest import chain, ordinary_ts, quotient_ts
+from conftest import chain, equal_tag_firing_and_rule, ordinary_ts, quotient_ts
 
 
 def test_counts_small():
@@ -77,17 +76,8 @@ def test_deadlocked_initial_state():
 @pytest.mark.parametrize("mode", ["ordinary", "quotient"])
 def test_firing_and_rule_with_equal_tag_and_target_merge(mode):
     # transition "x" and rule "x" both move the token from a to b
-    a, b = place(("a", 0)), place(("b", 0))
-    net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("x", rate=2.0)),))
-    # rule "x" takes the token on a, drops every other token and marks b
-    rule = RewriteRule(
-        "x",
-        0.5,
-        sites=lambda n: [
-            compile_site(n, (0,), Bag({a: 1}), Net(), System(n, Bag({b: 1})), lambda pl: None)
-        ],
-    )
-    ts = explore(System(net, Bag({a: 1})), (rule,), mode=mode)
+    system, rule = equal_tag_firing_and_rule()
+    ts = explore(system, (rule,), mode=mode)
     assert len(ts) == 2
     assert ts.edges == [(0, 1, "x", 2.5)]
 
