@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
+from .canon import _runs
 from .statespace import TransitionSystem, _slices
 
 
@@ -116,11 +117,10 @@ def build_generator(ts: TransitionSystem) -> Generator:
     """
     keep = ts.src != ts.dst
     src, dst, rate = ts.src[keep], ts.dst[keep], _edge_rates(ts)[keep]
-    first = np.ones(len(src), dtype=bool)
-    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    run = np.cumsum(first) - 1
+    run, first = _runs(np.arange(len(src)), src, dst)
     data = np.bincount(run, weights=rate)
-    return Generator._from_arrays(len(ts), src[first], dst[first], data)
+    src, dst = src[first], dst[first]
+    return Generator._from_arrays(len(ts), src, dst, data)
 
 
 def _class_flows(gen: Generator, partition: Sequence[int], tol: float):

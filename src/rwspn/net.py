@@ -259,26 +259,38 @@ class CompiledNet:
     """Integer form of a net: markings are int tuples over its places.
 
     ``places`` is the net's sorted place tuple, so a vector lists its entries
-    in ``Bag.items()`` order.  ``transitions`` holds, in net order, each
-    transition with its input, inhibitor and output as ``(index, count)``
-    tuples.  ``step`` expands a block of markings, one int64 row each, from
-    arrays built on its first call.
+    in ``Bag.items()`` order.  ``step`` expands a block of markings, one
+    int64 row each, from arrays built here from the transitions' bags, in
+    net order: one check per input pair (it fails below the count) and per
+    inhibitor pair (it fails at or above the bound), grouped by transition;
+    the transitions that have checks, with the first check of each;
+    priorities; Δ = output − input; and the largest entry of Δ.
     """
 
-    __slots__ = ("places", "index", "transitions", "_cells", "_arrays")
+    __slots__ = ("places", "index", "_cells", "_arrays")
 
     def __init__(self, net: Net):
         self.places = net.places()
         self.index = {pl: i for i, pl in enumerate(self.places)}
-
-        def pairs(bag: Bag) -> tuple:
-            return tuple((self.index[pl], c) for pl, c in bag.items())
-
-        self.transitions = tuple(
-            (t, pairs(t.input), pairs(t.inhibitor), pairs(t.output)) for t in net
-        )
         self._cells = tuple(f" . {pl}" for pl in self.places)
-        self._arrays = None
+        checks, checked, starts = [], [], []  # (place, count, inhibits) per check
+        delta = np.zeros((len(net), len(self.places)), dtype=np.int64)
+        for k, t in enumerate(net):
+            if t.input or t.inhibitor:
+                checked.append(k)
+                starts.append(len(checks))
+            checks += [(self.index[pl], c, 0) for pl, c in t.input.items()]
+            checks += [(self.index[pl], c, 1) for pl, c in t.inhibitor.items()]
+            for bag, sign in ((t.input, -1), (t.output, 1)):
+                for pl, c in bag.items():
+                    delta[k, self.index[pl]] += sign * c
+        idx, thr, inhibits = np.array(checks, dtype=np.int64).reshape(-1, 3).T
+        self._arrays = (
+            idx, thr, inhibits.astype(bool), np.array(checked, dtype=np.intp),
+            np.array(starts, dtype=np.intp),
+            np.array([t.tag.priority for t in net], dtype=np.int64), delta,
+            int(delta.max(initial=0)),
+        )
 
     def encode(self, marking: Bag) -> tuple:
         vec = [0] * len(self.places)
@@ -298,34 +310,6 @@ class CompiledNet:
         """``Bag.render`` of the decoded marking, byte for byte."""
         return " + ".join([f"{c}{cell}" for c, cell in zip(vec, self._cells) if c]) or "nilP"
 
-    def _compile(self) -> tuple:
-        """The arrays of ``step``: one check per input pair (it fails below
-        the count) and per inhibitor pair (it fails at or above the bound),
-        grouped by transition; the transitions that have checks, with the
-        first check of each; priorities; and Δ = output − input."""
-        idx, thr, inhibits, checked, starts = [], [], [], [], []
-        delta = np.zeros((len(self.transitions), len(self.places)), dtype=np.int64)
-        for k, (_t, inp, inh, out) in enumerate(self.transitions):
-            if inp or inh:
-                checked.append(k)
-                starts.append(len(idx))
-            for checks, inhibit in ((inp, False), (inh, True)):
-                for i, c in checks:
-                    idx.append(i)
-                    thr.append(c)
-                    inhibits.append(inhibit)
-            for i, c in inp:
-                delta[k, i] -= c
-            for i, c in out:
-                delta[k, i] += c
-        self._arrays = (
-            np.array(idx, dtype=np.intp), np.array(thr, dtype=np.int64),
-            np.array(inhibits, dtype=bool), np.array(checked, dtype=np.intp),
-            np.array(starts, dtype=np.intp),
-            np.array([t.tag.priority for t, *_ in self.transitions], dtype=np.int64), delta,
-        )
-        return self._arrays
-
     def step(self, block: np.ndarray) -> tuple:
         """Concession and firing for every row of ``block``, an int64
         matrix of marking vectors: ``(has, rows, ts, targets)``.
@@ -335,16 +319,21 @@ class CompiledNet:
         instance is enabled when it has concession and no instance with
         concession in its row has a higher priority; ``rows`` and ``ts``
         list the enabled (row, transition) pairs, by row and then in net
-        order, and ``targets`` the marking each of them fires to.
+        order, and ``targets`` the marking each of them fires to.  Raises
+        ``ValueError`` when a target count does not fit in int64.
         """
-        idx, thr, inhibits, checked, starts, priority, delta = self._arrays or self._compile()
-        has = np.ones((len(block), len(self.transitions)), dtype=bool)
+        idx, thr, inhibits, checked, starts, priority, delta, grow = self._arrays
+        has = np.ones((len(block), len(priority)), dtype=bool)
         fails = (block[:, idx] < thr) != inhibits
         has[:, checked] = ~np.logical_or.reduceat(fails, starts, axis=1)
         top = np.where(has, priority, -1).max(axis=1, initial=-1)
         rows, ts = np.nonzero(has & (priority == top[:, None]))
         targets = block[rows]
         targets += delta[ts]
+        # none passes block.max() + grow; past int64 a count wraps below 0, as no firing leaves one
+        if int(block.max(initial=0)) > _INT64_MAX - grow and targets.min(initial=0) < 0:
+            pl = self.places[np.argwhere(targets < 0)[0, 1]]
+            raise ValueError(f"token count on {pl} after firing does not fit in int64")
         return has, rows, ts, targets
 
 
@@ -420,7 +409,7 @@ def enabled_instances(system: System) -> tuple[Transition, ...]:
     """
     cnet = system.net.compiled()
     _has, _rows, ts, _targets = cnet.step(np.array([cnet.encode(system.marking)], dtype=np.int64))
-    return tuple(cnet.transitions[k][0] for k in ts.tolist())
+    return tuple(system.net.transitions[k] for k in ts.tolist())
 
 
 def enabled(t: Transition, system: System) -> bool:

@@ -6,9 +6,11 @@ of marking vectors over one net.  ``_successors`` is the one place that
 turns a list of (net, vector) states into labelled, normalized
 successors: it groups the states by net, runs ``expand`` on each group,
 labels each raw edge and normalizes the distinct targets per target net.
-``explore`` runs it on each BFS level; ``to_augmented``, ``fire_agg`` and
-``all_rewrites`` run it once on their one state, and ``rule_app`` runs
-``expand`` on one row."""
+It returns those targets and, per raw edge, the position of its target;
+numbering states is left to its callers.  ``explore`` runs it on each BFS
+level and gives each new target its id; ``to_augmented``, ``fire_agg`` and
+``all_rewrites`` run it once on their one state and decode the targets,
+and ``rule_app`` runs ``expand`` on one row."""
 
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .bag import Bag
 from .canon import _runs, normalize_block
-from .net import Net, Place, System, _TAG_RE
+from .net import Net, Place, System, _INT64_MAX, _TAG_RE
 
 # odd base of the polynomial row hash that orders the rows for ``_distinct``
 _HASH_BASE = 0x9E3779B97F4A7C15
@@ -49,7 +51,8 @@ class RuleSite(NamedTuple):
     ``dead`` transition has concession.  Its raw result is ``fixed`` plus
     the tokens left after taking ``need``, moved through the 0/1 matrix
     ``moves`` (a row of zeros drops them); a token left on an ``absent``
-    place, one that is absent from the target, raises ``ValueError``.
+    place, one that is absent from the target, raises ``ValueError``, and
+    so does a result count that does not fit in int64.
     """
 
     match: Match
@@ -93,7 +96,7 @@ def compile_site(
     return RuleSite(
         match,
         counts,
-        np.array([k for k, rec in enumerate(cnet.transitions) if rec[0] in subnet], dtype=np.intp),
+        np.array([k for k, t in enumerate(net.transitions) if t in subnet], dtype=np.intp),
         target.net,
         moves,
         np.array(absent, dtype=np.intp),
@@ -154,13 +157,15 @@ def expand(net: Net, block: np.ndarray, rules: Sequence[RewriteRule]) -> tuple[l
     ``failures`` lists ``(row, error)`` for each row whose expansion
     fails, in row order, with the error that expanding that row alone
     raises first (rule order, then match order): the ``ValueError`` of a
-    token left on a place absent from a site's target, or the
-    ``InjectivityError`` of two matches of one rule with the same raw
-    result.
+    token left on a place absent from a site's target or of a result count
+    past int64, or the ``InjectivityError`` of two matches of one rule with
+    the same raw result.  A firing count past int64 raises at once
+    (``CompiledNet.step``).
     """
     has, rows, ts, targets = net.compiled().step(block)
     steps = [(rows, net, targets, None, ts)]
     errors = []  # (row, rule number, site number, error)
+    moved = int(block.max(initial=0)) * block.shape[1]  # bounds what a site moves onto a place
     for r, rule in enumerate(rules):
         found = []
         for s, site in enumerate(rule_sites(rule, net)):
@@ -173,6 +178,10 @@ def expand(net: Net, block: np.ndarray, rules: Sequence[RewriteRule]) -> tuple[l
                 i = site.absent[left[k].argmax()]
                 errors.append((hit[k], r, s, ValueError(
                     f"result marks a place absent from the target net (source place {i})")))
+            if moved + int(site.fixed.max(initial=0)) > _INT64_MAX:  # exact sums past the bound
+                for k, j in np.argwhere(rest.astype(object) @ site.moves + site.fixed > _INT64_MAX):
+                    errors.append((hit[k], r, s, ValueError(
+                        f"result has a count that does not fit in int64 (target place {j})")))
             found.append((s, hit, site, site.fixed + rest @ site.moves))
         errors += _collisions(rule, r, found)
         steps += [(hit, site.target, raw, rule, site) for _s, hit, site, raw in found]
@@ -218,23 +227,23 @@ def rule_app(rule: RewriteRule, system: System) -> tuple[tuple[Match, System], .
     )
 
 
-def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient: bool,
-                intern: Callable[[State], int]) -> tuple:
+def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient: bool) -> tuple:
     """The successors of each (net, vector) state of ``states``, labelled
-    and normalized: ``(failures, src, dst, fired, label, labels, rate)``,
-    one entry per raw edge in each array.
+    and normalized: ``(failures, targets, src, dst, fired, label, labels,
+    rate)``.
 
-    The states are expanded per net as one block (``expand``).  An edge
-    holds its source's position in ``states``, whether it is a firing
-    (else a rule match), and the label (an index into ``labels``) and rate
-    of its transition's tag or of its rule; a source's edges come in firing
-    order, then rule order and match order.  The raw targets are
-    deduplicated per (target net, normalized), and each group is
-    normalized as one block (``normalize_block``) in ``quotient`` mode or
-    for a rule that normalizes.  ``intern`` is called once per distinct
-    target and ``dst`` holds the numbers it returns.  ``failures`` lists
-    ``(position, error)`` for each state whose ``expand`` fails, none
-    raised; if there is one, nothing is interned and the rest is None.
+    The states are expanded per net as one block (``expand``).  Each array
+    holds one entry per raw edge: its source's position in ``states``, the
+    position of its target in ``targets``, whether it is a firing (else a
+    rule match), and the label (an index into ``labels``) and rate of its
+    transition's tag or of its rule; a source's edges come in firing order,
+    then rule order and match order.  The raw targets are deduplicated per
+    (target net, normalized), and each group is normalized as one block
+    (``normalize_block``) in ``quotient`` mode or for a rule that
+    normalizes; ``targets`` lists each group's net and its distinct
+    vectors as tuples, in the order in which ``dst`` counts them.
+    ``failures`` lists ``(position, error)`` for each state whose
+    ``expand`` fails, none raised; if there is one, the rest is None.
     """
     by_net: dict = {}
     for i, (net, _vec) in enumerate(states):
@@ -252,7 +261,7 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
             continue
         members = np.array(members, dtype=np.int64)
         base = len(tags)
-        tags += [rec[0].tag for rec in net.compiled().transitions]
+        tags += [t.tag for t in net.transitions]
         for rows, target, raws, rule, how in steps:
             if not len(rows):
                 continue
@@ -264,7 +273,8 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
             parts.append(raws)
             offset += len(rows)
     if failed:
-        return (failed,) + (None,) * 6
+        return (failed,) + (None,) * 7
+    targets, count = [], 0  # (net, distinct vectors) per group; the vectors so far
     dst = np.empty(offset, dtype=np.int64)
     for (net, normalized), (at, parts) in groups.items():
         raws = np.concatenate(parts)
@@ -272,15 +282,16 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
         distinct = raws[first]
         if normalized:
             net, distinct = normalize_block(net, distinct)
+        dst[np.concatenate(at)] = inverse + count
         vecs = distinct.tolist()
         del distinct  # freed before the tuples: 1 MB less peak RSS, ordinary N=2 k=3 m=3
-        ids = [intern((net, vec)) for vec in map(tuple, vecs)]
-        dst[np.concatenate(at)] = np.array(ids, dtype=np.int64)[inverse]
+        count += len(vecs)
+        targets.append((net, list(map(tuple, vecs))))
     src, kind = np.concatenate(srcs), np.concatenate(kinds)
     label_of: dict[str, int] = {}
     label = np.array([label_of.setdefault(t.tag, len(label_of)) for t in tags], dtype=np.int64)
     rate = np.array([t.rate for t in tags], dtype=float)
-    return failed, src, dst, kind >= len(rules), label[kind], list(label_of), rate[kind]
+    return failed, targets, src, dst, kind >= len(rules), label[kind], list(label_of), rate[kind]
 
 
 def _distinct(rows: np.ndarray) -> tuple:
@@ -328,14 +339,11 @@ def to_augmented(system: System, rules: Sequence[RewriteRule] = ()) -> Augmented
     ``_successors`` pass over its state; raises the first failure of its
     rule matches."""
     net = system.net
-    ids: dict[State, int] = {}
-    failures, _src, dst, fired, label, labels, rate = _successors(
-        [(net, net.compiled().encode(system.marking))], rules, True,
-        lambda state: ids.setdefault(state, len(ids)),
-    )
+    failures, targets, _src, dst, fired, label, labels, rate = _successors(
+        [(net, net.compiled().encode(system.marking))], rules, True)
     if failures:
         raise failures[0][1]
-    targets = list(ids)
+    targets = [(net, vec) for net, vecs in targets for vec in vecs]
     firing, rewrites = {}, {}  # normal target marking or system -> label -> rate
     for k, fire, lab, r in zip(dst.tolist(), fired.tolist(), label.tolist(), rate.tolist()):
         target = System.decoded(*targets[k])

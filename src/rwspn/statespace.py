@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import Callable
 
 import numpy as np
@@ -159,23 +159,25 @@ def explore(
 
     The BFS holds each state as its net and an int tuple over the net's
     compiled form (``Net.compiled``) and expands one level at a time
-    through ``rewrite._successors``, which labels the successors and
-    normalizes them per target net as one block; ``explore`` numbers each
-    distinct target once, merges the level's edges and keeps them as
-    int32 arrays.  The result keeps the tuples and the edges as arrays; no
-    state is decoded to a ``System`` unless ``TransitionSystem.states`` is
-    read.
+    through ``rewrite._successors``, which labels the successors,
+    normalizes them per target net as one block and returns the level's
+    distinct targets.  ``explore`` is the one place that numbers states:
+    it looks each target up once, adds a new one at the current level,
+    merges the level's edges and keeps them as int32 arrays.  The result
+    keeps the tuples and the edges as arrays; no state is decoded to a
+    ``System`` unless ``TransitionSystem.states`` is read.
 
     ``max_states`` is checked as each state is added; ``BudgetExceededError``
     reports ``max_states + 1`` states and the BFS level of the state that
     did not fit.  A rule match that fails (``InjectivityError``, or the
-    ``ValueError`` of a token on a place absent from the target) is
-    raised for the failing state of the level that comes first in the
-    state numbering, with the error that this state raises first on its
-    own (rule order, then match order).  A level's rule matches are all
-    applied before any of the states they reach is added, so when the
-    states that one level reaches overflow the budget and a state of
-    that level holds a failing match, the rule error wins.
+    ``ValueError`` of a token on a place absent from the target or of a
+    count past int64) is raised for the failing state of the level that
+    comes first in the state numbering, with the error that this state
+    raises first on its own (rule order, then match order).  A level's
+    rule matches are all applied, and its targets normalized, before any
+    of the states they reach is added, so when the states that one level
+    reaches overflow the budget and a state of that level holds a failing
+    match, the rule error wins.
     """
     if mode not in ("quotient", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -193,27 +195,27 @@ def explore(
     # int32 (src, dst, kind) arrays per level, after an empty one
     edges: list[tuple] = [(np.zeros(0, dtype=np.int32),) * 3]
 
-    def intern(state: State) -> int:
-        """The id of ``state``, added at the current level if it is new."""
-        tid = ids.get(state)
-        if tid is None:
-            tid = ids[state] = len(states)
-            states.append(state)
-            levels.append(level)
-            if max_states is not None and len(states) > max_states:
-                raise BudgetExceededError(len(states), level, max_states)
-        return tid
-
     level, begin = 0, 0
     while begin < len(states):  # expand states[begin:end], the last level found
         level += 1
         end = len(states)
-        failures, src, dst, _fired, label, labels, rate = rewrite._successors(
-            states[begin:end], rules, quotient, intern)
+        failures, targets, src, dst, _fired, label, labels, rate = rewrite._successors(
+            states[begin:end], rules, quotient)
         if failures:
             raise min(failures, key=lambda f: System.decoded(*states[begin + f[0]]).key)[1]
+        number = []  # each target's id; a new target is added at this level
+        for net, vecs in targets:
+            for state in zip(repeat(net), vecs):
+                tid = ids.setdefault(state, len(states))
+                if tid == len(states):
+                    states.append(state)
+                    levels.append(level)
+                    if max_states is not None and len(states) > max_states:
+                        raise BudgetExceededError(len(states), level, max_states)
+                number.append(tid)
+        del targets  # freed before the next level
         if len(src):
-            edges.append(_merged(src + begin, dst, label, rate, labels, kind_of))
+            edges.append(_merged(src + begin, np.array(number)[dst], label, rate, labels, kind_of))
         begin = end
     del ids
 

@@ -9,17 +9,21 @@ import pytest
 from rwspn import (
     Bag,
     Net,
+    RewriteRule,
     System,
     Transition,
     TransitionTag,
     apply_assignment,
     brute_force_normal,
     build_npl_sys,
+    compile_site,
     explore,
+    fire_agg,
     has_concession,
     normalize,
     npl_net,
     place,
+    rule_app,
 )
 
 from rwspn.rewrite import expand
@@ -44,7 +48,8 @@ def kernel_successors(system: System) -> list:
     cnet = system.net.compiled()
     _has, _rows, ts, targets = cnet.step(np.array([cnet.encode(system.marking)], dtype=np.int64))
     return [
-        (cnet.transitions[k][0], cnet.decode(nxt)) for k, nxt in zip(ts.tolist(), targets.tolist())
+        (system.net.transitions[k], cnet.decode(nxt))
+        for k, nxt in zip(ts.tolist(), targets.tolist())
     ]
 
 
@@ -76,7 +81,7 @@ def assert_batch_matches(net: Net, markings: list) -> None:
     assert list(rows) == sorted(rows)
     got = [[] for _ in markings]
     for r, t, nxt in zip(rows.tolist(), ts.tolist(), targets.tolist()):
-        got[r].append((cnet.transitions[t][0], cnet.decode(tuple(nxt))))
+        got[r].append((net.transitions[t], cnet.decode(tuple(nxt))))
     assert got == [reference_successors(System(net, m)) for m in markings]
 
 
@@ -171,6 +176,40 @@ def test_encode_refuses_counts_outside_int64():
         net.compiled().encode(Bag({W0: top + 1}))
     with pytest.raises(ValueError, match="does not fit in int64"):
         explore(System(net, Bag({W0: top + 1})), mode="ordinary")
+
+
+def test_firing_refuses_counts_that_do_not_fit_in_int64():
+    # p -> 2p adds one token: 2**63 - 2 fires to the top count, which the next firing passes
+    p = place(("p", 0))
+    net = Net((Transition(Bag({p: 1}), Bag({p: 2}), Bag(), TransitionTag("t")),))
+    top = 2**63 - 1
+    targets = net.compiled().step(np.array([[top - 1]], dtype=np.int64))[3]
+    assert targets.tolist() == [[top]]
+    for mode in ("quotient", "ordinary"):
+        with pytest.raises(ValueError, match="after firing does not fit in int64"):
+            explore(System(net, Bag({p: top})), mode=mode)
+    with pytest.raises(ValueError, match="after firing does not fit in int64"):
+        fire_agg(System(net, Bag({p: top})))
+
+
+def test_rule_results_refuse_counts_that_do_not_fit_in_int64():
+    # one site moves the tokens of a and b onto c
+    a, b, c = (place((tag, 0)) for tag in "abc")
+    net = Net((Transition(Bag({a: 1}), Bag({b: 1}), Bag(), TransitionTag("t")),))
+    only_c = System(Net((Transition(Bag({c: 1}), Bag({c: 1}), Bag(), TransitionTag("u")),)))
+    merge = RewriteRule(
+        "merge", 1.0, sites=lambda n: [compile_site(n, (), Bag(), Net(), only_c, lambda pl: c)]
+    )
+    fits = rule_app(merge, System(net, Bag({a: 2**62, b: 2**62 - 1})))
+    assert fits[0][1].marking == Bag({c: 2**63 - 1})
+    system = System(net, Bag({a: 2**62, b: 2**62}))
+    with pytest.raises(ValueError) as direct:
+        rule_app(merge, system)
+    assert str(direct.value) == "result has a count that does not fit in int64 (target place 0)"
+    for mode in ("quotient", "ordinary"):
+        with pytest.raises(ValueError) as explored:
+            explore(system, (merge,), mode=mode)
+        assert str(explored.value) == str(direct.value)
 
 
 def test_vector_normalize_matches_brute_force_on_ordinary_states():

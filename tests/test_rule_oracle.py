@@ -11,6 +11,7 @@ import pytest
 
 from rwspn import (
     Bag,
+    BudgetExceededError,
     Net,
     RewriteRule,
     System,
@@ -151,3 +152,21 @@ def test_explore_raises_for_the_first_failing_state_in_the_numbering(mode, k, fi
     assert str(err.value) == (
         f"result marks a place absent from the target net (source place {first})"
     )
+
+
+@pytest.mark.parametrize("mode", ["quotient", "ordinary"])
+def test_a_rule_error_wins_over_the_budget_in_the_same_level(mode):
+    # s fires to two new states, one more than the budget holds, and the
+    # rule fails on s itself: its target net has no place s
+    s, t, u = (place((tag, 0)) for tag in "stu")
+    net = Net((
+        Transition(Bag({s: 1}), Bag({t: 1}), Bag(), TransitionTag("a")),
+        Transition(Bag({s: 1}), Bag({u: 1}), Bag(), TransitionTag("b")),
+    ))
+    only_t = Net((Transition(Bag({t: 1}), Bag({t: 1}), Bag(), TransitionTag("c")),))
+    system = System(net, Bag({s: 1}))
+    with pytest.raises(BudgetExceededError):
+        explore(system, mode=mode, max_states=1)
+    with pytest.raises(ValueError) as err:
+        explore(system, (keep_rule(only_t),), mode=mode, max_states=1)
+    assert str(err.value) == "result marks a place absent from the target net (source place 0)"
