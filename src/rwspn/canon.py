@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bag import Bag
-from .net import _INT64_MAX, Net, Pair, Place, System, Transition
+from .net import _INT64_MAX, Net, Pair, Place, System, Transition, _block, _by_net, _rows
 
 GroupKey = tuple[tuple[Pair, ...], str]  # (label suffix, tag)
 Assignment = dict[GroupKey, dict[int, int]]
@@ -270,17 +270,13 @@ def _runs(order: np.ndarray, *keys) -> tuple:
 
 
 def normalize_states(states: list) -> list:
-    """The normal form of each (net, marking vector) pair, as such a pair;
-    the vectors of one net are normalized as one block."""
-    by_net: dict = {}
-    for i, (net, _vec) in enumerate(states):
-        by_net.setdefault(net, []).append(i)
+    """The normal form of each (net, row) state, as such a state; the rows
+    of one net are normalized as one block."""
     out = [None] * len(states)
-    for net, members in by_net.items():
-        block = np.array([states[i][1] for i in members], dtype=np.int64)
-        canon, block = normalize_block(net, block)
-        for i, vec in zip(members, map(tuple, block.tolist())):
-            out[i] = (canon, vec)
+    for net, (members, rows) in _by_net(states).items():
+        canon, block = normalize_block(net, _block(net, rows))
+        for i, row in zip(members, _rows(block)):
+            out[i] = (canon, row)
     return out
 
 
@@ -293,7 +289,7 @@ def normalize(system: System) -> System:
     index strings like numbers only up to 10 siblings; larger groups still
     get one representative per class, which may not be the minimum.
     """
-    (state,) = normalize_states([(system.net, system.net.compiled().encode(system.marking))])
+    (state,) = normalize_states([system._state()])
     return System.decoded(*state)
 
 

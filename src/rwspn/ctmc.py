@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from .canon import _runs
-from .statespace import TransitionSystem, _slices
+from .statespace import TransitionSystem, _write_lines
 
 
 def _fmt(x: float) -> str:
@@ -92,15 +92,14 @@ class Generator:
     def write_coo(self, path) -> None:
         m = self.offdiag
         rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
-        # one repr per distinct rate, keyed by bit pattern since 0.0 == -0.0
-        text: dict[int, str] = {}
+        # one repr per distinct rate, numbered by bit pattern since 0.0 == -0.0;
+        # the stable sort is the kernel that ``np.lexsort`` has loaded, where
+        # the default one loads another (0.2 MB more peak RSS on ``solve``)
+        bits = m.data.view(np.int64)
+        rate, first = _runs(np.argsort(bits, kind="stable"), bits)
         with open(path, "w") as fh:
             fh.write(f"{self.n}\n")
-            for part in _slices(rows, m.indices, m.data, m.data.view(np.int64)):
-                fh.writelines(
-                    f"{i} {j} {text.get(bits) or text.setdefault(bits, repr(rate))}\n"
-                    for i, j, rate, bits in zip(*part)
-                )
+            _write_lines(fh, [f" {r!r}\n" for r in m.data[first].tolist()], rows, m.indices, rate)
 
 
 def _edge_rates(ts: TransitionSystem) -> np.ndarray:

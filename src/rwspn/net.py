@@ -256,7 +256,7 @@ class Net:
 
 
 class CompiledNet:
-    """Integer form of a net: markings are int tuples over its places.
+    """Integer form of a net: markings are int vectors over its places.
 
     ``places`` is the net's sorted place tuple, so a vector lists its entries
     in ``Bag.items()`` order.  ``step`` expands a block of markings, one
@@ -267,12 +267,11 @@ class CompiledNet:
     priorities; Δ = output − input; and the largest entry of Δ.
     """
 
-    __slots__ = ("places", "index", "_cells", "_arrays")
+    __slots__ = ("places", "index", "_arrays")
 
     def __init__(self, net: Net):
         self.places = net.places()
         self.index = {pl: i for i, pl in enumerate(self.places)}
-        self._cells = tuple(f" . {pl}" for pl in self.places)
         checks, checked, starts = [], [], []  # (place, count, inhibits) per check
         delta = np.zeros((len(net), len(self.places)), dtype=np.int64)
         for k, t in enumerate(net):
@@ -303,12 +302,36 @@ class CompiledNet:
             vec[i] = c
         return tuple(vec)
 
-    def decode(self, vec: tuple) -> Bag:
+    def decode(self, vec: Iterable[int]) -> Bag:
         return _from_items(tuple((pl, c) for pl, c in zip(self.places, vec) if c))
 
-    def render(self, vec: tuple) -> str:
-        """``Bag.render`` of the decoded marking, byte for byte."""
-        return " + ".join([f"{c}{cell}" for c, cell in zip(vec, self._cells) if c]) or "nilP"
+    def render(self, block: np.ndarray) -> list[str]:
+        """``Bag.render`` of the decoded marking of each row of ``block``,
+        an int64 matrix of marking vectors, byte for byte.
+
+        The nonzero cells come in row-major, hence place, order; each
+        distinct (place, count) token is formatted once per call, and each
+        row joins its slice of the tokens, or is ``nilP`` if it has none.
+        """
+        rows, cols = np.nonzero(block)
+        counts = block[rows, cols]
+        width = max(1, len(self.places))
+        # each cell's key is count * width + place, in Python ints where it may pass int64
+        if int(block.max(initial=0)) >= _INT64_MAX // width:
+            counts = counts.astype(object)
+        places, texts = self.places, {}
+
+        def text(key: int) -> str:
+            count, col = divmod(key, width)
+            texts[key] = token = f"{count} . {places[col]}"
+            return token
+
+        tokens = [texts.get(key) or text(key) for key in (counts * width + cols).tolist()]
+        out, start = [], 0
+        for end in np.cumsum(np.bincount(rows, minlength=len(block))).tolist():
+            out.append(" + ".join(tokens[start:end]) or "nilP")
+            start = end
+        return out
 
     def step(self, block: np.ndarray) -> tuple:
         """Concession and firing for every row of ``block``, an int64
@@ -337,6 +360,31 @@ class CompiledNet:
         return has, rows, ts, targets
 
 
+def _by_net(states) -> dict:
+    """The (positions, rows) of each net's states among (net, row) states."""
+    groups: dict = {}
+    for i, (net, row) in enumerate(states):
+        members, rows = groups.setdefault(net, ([], []))
+        members.append(i)
+        rows.append(row)
+    return groups
+
+
+def _block(net: Net, rows: list) -> np.ndarray:
+    """The int64 matrix of state rows of ``net``; read-only, as it shares
+    their joined bytes."""
+    width = len(net.compiled().places)
+    return np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), width)
+
+
+def _rows(block: np.ndarray) -> list:
+    """The bytes of each row of an int64 matrix, as state rows; a row over
+    no places is ``b""``, since numpy has no void view of size 0."""
+    if not block.shape[1]:
+        return [b""] * len(block)
+    return np.ascontiguousarray(block).view(f"V{8 * block.shape[1]}").ravel().tolist()
+
+
 class System:
     """A net together with a marking of its places."""
 
@@ -351,14 +399,20 @@ class System:
         self._hash = None
 
     @classmethod
-    def decoded(cls, net: Net, vec: tuple) -> "System":
-        """The net marked by a vector over its compiled places; the places
-        come from the net, so they are not checked."""
+    def decoded(cls, net: Net, row: bytes) -> "System":
+        """The net marked by a state's row: the bytes of an int64 vector
+        over its compiled places.  The places come from the net, so they
+        are not checked."""
         self = object.__new__(cls)
         self.net = net
-        self.marking = net.compiled().decode(vec)
+        self.marking = net.compiled().decode(np.frombuffer(row, dtype=np.int64).tolist())
         self._hash = None
         return self
+
+    def _state(self) -> tuple:
+        """The (net, row) state of the system, which ``decoded`` inverts."""
+        vec = np.array(self.net.compiled().encode(self.marking), dtype=np.int64)
+        return (self.net, vec.tobytes())
 
     @property
     def key(self) -> tuple[str, str]:

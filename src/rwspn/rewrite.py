@@ -3,7 +3,7 @@
 
 ``expand`` computes the raw firing successors and rule matches of a block
 of marking vectors over one net.  ``_successors`` is the one place that
-turns a list of (net, vector) states into labelled, normalized
+turns a list of (net, row) states (``State``) into labelled, normalized
 successors: it groups the states by net, runs ``expand`` on each group,
 labels each raw edge and normalizes the distinct targets per target net.
 It returns those targets and, per raw edge, the position of its target;
@@ -22,7 +22,7 @@ import numpy as np
 
 from .bag import Bag
 from .canon import _runs, normalize_block
-from .net import Net, Place, System, _INT64_MAX, _TAG_RE
+from .net import Net, Place, System, _INT64_MAX, _TAG_RE, _block, _by_net, _rows
 
 # odd base of the polynomial row hash that orders the rows for ``_distinct``
 _HASH_BASE = 0x9E3779B97F4A7C15
@@ -137,7 +137,8 @@ def rule_sites(rule: RewriteRule, net: Net) -> tuple[RuleSite, ...]:
     return sites
 
 
-State = tuple[Net, tuple]  # a net and a marking vector over its compiled places
+# a net and its row: the bytes of an int64 marking vector over ``net.compiled()``
+State = tuple[Net, bytes]
 
 
 def expand(net: Net, block: np.ndarray, rules: Sequence[RewriteRule]) -> tuple[list, list]:
@@ -222,40 +223,37 @@ def rule_app(rule: RewriteRule, system: System) -> tuple[tuple[Match, System], .
     if failures:
         raise failures[0][1]
     return tuple(
-        (site.match, System.decoded(target, tuple(raw[0].tolist())))
+        (site.match, System.decoded(target, raw[0].tobytes()))
         for _rows, target, raw, _rule, site in steps[1:]
     )
 
 
 def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient: bool) -> tuple:
-    """The successors of each (net, vector) state of ``states``, labelled
-    and normalized: ``(failures, targets, src, dst, fired, label, labels,
+    """The successors of each (net, row) state of ``states``, labelled and
+    normalized: ``(failures, targets, src, dst, fired, label, labels,
     rate)``.
 
-    The states are expanded per net as one block (``expand``).  Each array
-    holds one entry per raw edge: its source's position in ``states``, the
-    position of its target in ``targets``, whether it is a firing (else a
-    rule match), and the label (an index into ``labels``) and rate of its
-    transition's tag or of its rule; a source's edges come in firing order,
-    then rule order and match order.  The raw targets are deduplicated per
-    (target net, normalized), and each group is normalized as one block
+    The states are expanded per net as one block (``expand``), built from
+    their rows with one join.  Each array holds one entry per raw edge:
+    its source's position in ``states``, the position of its target in
+    ``targets``, whether it is a firing (else a rule match), and the label
+    (an index into ``labels``) and rate of its transition's tag or of its
+    rule; a source's edges come in firing order, then rule order and
+    match order.  The raw targets are deduplicated per (target net,
+    normalized), and each group is normalized as one block
     (``normalize_block``) in ``quotient`` mode or for a rule that
-    normalizes; ``targets`` lists each group's net and its distinct
-    vectors as tuples, in the order in which ``dst`` counts them.
+    normalizes; ``targets`` lists each group's net and the rows of its
+    distinct targets, in the order in which ``dst`` counts them.
     ``failures`` lists ``(position, error)`` for each state whose
     ``expand`` fails, none raised; if there is one, the rest is None.
     """
-    by_net: dict = {}
-    for i, (net, _vec) in enumerate(states):
-        by_net.setdefault(net, []).append(i)
     # what gives each kind of edge its label and rate: the rules, then
     # the transition tags of each net; per step, the kind of each edge
     tags, kinds, srcs = list(rules), [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     groups: dict = {}  # (target net, normalized) -> ([edge positions], [target rows])
     offset, failed = 0, []
-    for net, members in by_net.items():
-        block = np.array([states[i][1] for i in members], dtype=np.int64)
-        steps, failures = expand(net, block, rules)
+    for net, (members, state_rows) in _by_net(states).items():
+        steps, failures = expand(net, _block(net, state_rows), rules)
         if failures:
             failed += [(members[row], error) for row, error in failures]
             continue
@@ -274,7 +272,7 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
             offset += len(rows)
     if failed:
         return (failed,) + (None,) * 7
-    targets, count = [], 0  # (net, distinct vectors) per group; the vectors so far
+    targets, count = [], 0  # (net, distinct rows) per group; the rows so far
     dst = np.empty(offset, dtype=np.int64)
     for (net, normalized), (at, parts) in groups.items():
         raws = np.concatenate(parts)
@@ -283,10 +281,8 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
         if normalized:
             net, distinct = normalize_block(net, distinct)
         dst[np.concatenate(at)] = inverse + count
-        vecs = distinct.tolist()
-        del distinct  # freed before the tuples: 1 MB less peak RSS, ordinary N=2 k=3 m=3
-        count += len(vecs)
-        targets.append((net, list(map(tuple, vecs))))
+        count += len(distinct)
+        targets.append((net, _rows(distinct)))
     src, kind = np.concatenate(srcs), np.concatenate(kinds)
     label_of: dict[str, int] = {}
     label = np.array([label_of.setdefault(t.tag, len(label_of)) for t in tags], dtype=np.int64)
@@ -338,15 +334,14 @@ def to_augmented(system: System, rules: Sequence[RewriteRule] = ()) -> Augmented
     """Augmented form of a system already in normal form: one
     ``_successors`` pass over its state; raises the first failure of its
     rule matches."""
-    net = system.net
     failures, targets, _src, dst, fired, label, labels, rate = _successors(
-        [(net, net.compiled().encode(system.marking))], rules, True)
+        [system._state()], rules, True)
     if failures:
         raise failures[0][1]
-    targets = [(net, vec) for net, vecs in targets for vec in vecs]
+    targets = [(net, row) for net, rows in targets for row in rows]
     firing, rewrites = {}, {}  # normal target marking or system -> label -> rate
     for k, fire, lab, r in zip(dst.tolist(), fired.tolist(), label.tolist(), rate.tolist()):
         target = System.decoded(*targets[k])
         per = firing.setdefault(target.marking, {}) if fire else rewrites.setdefault(target, {})
         per[labels[lab]] = per.get(labels[lab], 0.0) + r
-    return AugmentedState(net, system.marking, firing, rewrites)
+    return AugmentedState(system.net, system.marking, firing, rewrites)

@@ -3,27 +3,33 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import repeat, starmap
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
 
 from . import rewrite
 from .canon import _runs, normalize_states
-from .net import System
+from .net import Net, System, _block
 from .rewrite import RewriteRule, State
 
 Edge = tuple[int, int, str, float]  # source, target, label, rate
 
-# entries per slice that the exports turn into Python lists and write
+# entries per slice that the exports, and the renderer of markings, turn
+# into Python lists at once
 _SLICE = 1 << 13
 
 
-def _slices(*arrays):
-    """The aligned slices of ``_SLICE`` entries of equal-length arrays, each
-    as a tuple of lists, so an export never holds a whole-file list."""
-    for start in range(0, len(arrays[0]), _SLICE):
-        yield tuple(a[start:start + _SLICE].tolist() for a in arrays)
+def _write_lines(fh, tails: list, first, second, tail) -> None:
+    """Write the line ``f"{a} {b}{tails[t]}"`` of each entry of the
+    equal-length int arrays, one joined write per slice of ``_SLICE``
+    entries, so an export never holds a whole-file list."""
+    for start in range(0, len(first), _SLICE):
+        part = slice(start, start + _SLICE)
+        fh.write("".join([
+            f"{a} {b}{tails[t]}"
+            for a, b, t in zip(first[part].tolist(), second[part].tolist(), tail[part].tolist())
+        ]))
 
 
 class BudgetExceededError(RuntimeError):
@@ -40,7 +46,7 @@ class BudgetExceededError(RuntimeError):
 
 class _States(Sequence):
     """Read-only view of a transition system's states: each access decodes
-    the ``System`` of its (net, vector) pair; ``len`` decodes nothing."""
+    the ``System`` of its (net, row) state; ``len`` decodes nothing."""
 
     __slots__ = ("_cells",)
 
@@ -66,8 +72,9 @@ class TransitionSystem:
     a level, by the canonical system order, so the numbering does not depend
     on the exploration schedule.
 
-    Each state is held as its net and an int vector over ``net.compiled()``,
-    with its rendered marking; ``states`` decodes a ``System`` on access.
+    Each state is held as its net and its row, the bytes of its int64
+    marking vector over ``net.compiled()`` (``rewrite.State``), with its
+    rendered marking; ``states`` decodes a ``System`` on access.
     The edges are the int32 arrays ``src``, ``dst`` and ``kind``, sorted by
     (src, dst, label, rate); ``kind`` indexes ``kinds``, the sorted distinct
     (label, rate) pairs.  ``edges`` lists them as (src, dst, label, rate)
@@ -135,10 +142,9 @@ class TransitionSystem:
                 fh.write("\n")
 
     def write_edges(self, path) -> None:
-        tails = [f" {label} {rate!r}\n" for label, rate in self.kinds]
         with open(path, "w") as fh:
-            for src, dst, kind in _slices(self.src, self.dst, self.kind):
-                fh.writelines(f"{s} {d}{tails[k]}" for s, d, k in zip(src, dst, kind))
+            _write_lines(fh, [f" {label} {rate!r}\n" for label, rate in self.kinds],
+                         self.src, self.dst, self.kind)
 
 
 def explore(
@@ -157,15 +163,18 @@ def explore(
     give one edge with the summed rate, summed in firing order, then rule
     order and match order.
 
-    The BFS holds each state as its net and an int tuple over the net's
-    compiled form (``Net.compiled``) and expands one level at a time
-    through ``rewrite._successors``, which labels the successors,
-    normalizes them per target net as one block and returns the level's
-    distinct targets.  ``explore`` is the one place that numbers states:
-    it looks each target up once, adds a new one at the current level,
-    merges the level's edges and keeps them as int32 arrays.  The result
-    keeps the tuples and the edges as arrays; no state is decoded to a
-    ``System`` unless ``TransitionSystem.states`` is read.
+    The BFS holds each state as its net and its row, the bytes of its
+    int64 marking vector over the net's compiled form (``Net.compiled``),
+    and expands one level at a time through ``rewrite._successors``,
+    which labels the successors, normalizes them per target net as one
+    block and returns the rows of the level's distinct targets.
+    ``explore`` is the one place that numbers states: it looks each row up
+    once in its net's dict, adds a new one at the current level, merges
+    the level's edges and keeps them as int32 arrays.  The markings are
+    rendered per net block (``CompiledNet.render``), to order each level
+    and for ``states.txt``.  The result keeps the rows and the edges as
+    arrays; no state is decoded to a ``System`` unless
+    ``TransitionSystem.states`` is read.
 
     ``max_states`` is checked as each state is added; ``BudgetExceededError``
     reports ``max_states + 1`` states and the BFS level of the state that
@@ -182,7 +191,7 @@ def explore(
     if mode not in ("quotient", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}")
     quotient = mode == "quotient"
-    start = (initial.net, initial.net.compiled().encode(initial.marking))
+    start = initial._state()
     if quotient:
         (start,) = normalize_states([start])
 
@@ -190,7 +199,7 @@ def explore(
         raise BudgetExceededError(1, 0, max_states)
     states: list[State] = [start]
     levels: list[int] = [0]
-    ids: dict[State, int] = {start: 0}
+    ids: dict = {start[0]: {start[1]: 0}}  # net -> row -> id
     kind_of: dict[tuple[str, float], int] = {}  # (label, rate) -> kind id
     # int32 (src, dst, kind) arrays per level, after an empty one
     edges: list[tuple] = [(np.zeros(0, dtype=np.int32),) * 3]
@@ -204,11 +213,12 @@ def explore(
         if failures:
             raise min(failures, key=lambda f: System.decoded(*states[begin + f[0]]).key)[1]
         number = []  # each target's id; a new target is added at this level
-        for net, vecs in targets:
-            for state in zip(repeat(net), vecs):
-                tid = ids.setdefault(state, len(states))
+        for net, rows in targets:
+            seen = ids.setdefault(net, {})
+            for row in rows:
+                tid = seen.setdefault(row, len(states))
                 if tid == len(states):
-                    states.append(state)
+                    states.append((net, row))
                     levels.append(level)
                     if max_states is not None and len(states) > max_states:
                         raise BudgetExceededError(len(states), level, max_states)
@@ -217,12 +227,23 @@ def explore(
         if len(src):
             edges.append(_merged(src + begin, np.array(number)[dst], label, rate, labels, kind_of))
         begin = end
-    del ids
 
-    # renumber: BFS level, then canonical order (``System.key``) within a
-    # level; the BFS appended by level, so ``levels`` is already in that order
-    marks = [net.compiled().render(vec) for net, vec in states]
-    order = sorted(range(len(states)), key=lambda i: (levels[i], states[i][0].render(), marks[i]))
+    # renumber: BFS level, then canonical order (``System.key``: net text,
+    # then marking text) within a level, sorted as ranks; each net's
+    # markings are rendered ``_SLICE`` rows at a time
+    marks = [None] * len(states)
+    net_rank = np.empty(len(states), dtype=np.int64)
+    for rank, net in enumerate(sorted(ids, key=Net.render)):
+        seen = ids.pop(net)  # row -> id, in id order
+        members, rows = list(seen.values()), list(seen)
+        net_rank[members] = rank
+        for at in range(0, len(rows), _SLICE):
+            block = _block(net, rows[at:at + _SLICE])
+            for i, mark in zip(members[at:at + _SLICE], net.compiled().render(block)):
+                marks[i] = mark
+    mark_rank = np.empty(len(states), dtype=np.int64)
+    mark_rank[sorted(range(len(states)), key=marks.__getitem__)] = np.arange(len(states))
+    order = np.lexsort((mark_rank, net_rank, levels)).tolist()
     remap = np.empty(len(states), dtype=np.int32)
     remap[order] = np.arange(len(states))
     src, dst, kind = map(np.concatenate, zip(*edges))
@@ -254,7 +275,7 @@ def quotient_partition(ordinary: TransitionSystem, quotient: TransitionSystem) -
 
     Total and surjective when both systems were explored from the same
     initial system; raises ``ValueError`` when it is not.  Works on the
-    states' vectors; no state is decoded.
+    states' rows; no state is decoded.
     """
     index = {cell: i for i, cell in enumerate(quotient._cells)}
     part = [index.get(cell) for cell in normalize_states(ordinary._cells)]

@@ -438,8 +438,8 @@ def _mixed_rows(net, rng, counts):
 
 def _oracle_rows(net, block):
     out = []
-    for vec in block.tolist():
-        s = brute_force_normal(System.decoded(net, tuple(vec)))
+    for vec in block:
+        s = brute_force_normal(System.decoded(net, vec.tobytes()))
         out.append((s.net, s.net.compiled().encode(s.marking)))
     return out
 
@@ -474,8 +474,8 @@ def test_block_equals_one_row_calls_on_every_raw_target(n):
     # net as one block (several chunks for the larger nets) and row by row
     ts = explore(build_npl_sys(n, 2, 2), production_rules(), mode="quotient")
     by_net: dict = {}
-    for net, vec in ts._cells:
-        by_net.setdefault(net, []).append(vec)
+    for net, row in ts._cells:
+        by_net.setdefault(net, []).append(np.frombuffer(row, dtype=np.int64))
     raws: dict = {}
     for net, vecs in by_net.items():
         steps, failures = expand(net, np.array(vecs, dtype=np.int64), production_rules())

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rwspn import (
     Bag,
@@ -28,7 +30,7 @@ from rwspn import (
 
 from rwspn.rewrite import expand
 
-from conftest import ordinary_ts, random_marking
+from conftest import ordinary_ts, quotient_ts, random_marking
 
 W0 = place(("w", 0))
 A0 = place(("a", 0))
@@ -59,7 +61,7 @@ def assert_kernel_matches(system: System) -> None:
     decoded = cnet.decode(vec)
     assert decoded == system.marking
     assert decoded.items() == system.marking.items()
-    assert cnet.render(vec) == system.marking.render()
+    assert cnet.render(np.array([vec], dtype=np.int64)) == [system.marking.render()]
     assert kernel_successors(system) == reference_successors(system)
 
 
@@ -160,6 +162,51 @@ def test_kernel_on_firing_only_state_space():
     assert len(ts) == 400
     for s in ts.states:
         assert_kernel_matches(s)
+
+
+def assert_renders_like_bags(net: Net, block: np.ndarray) -> None:
+    """The block renderer against ``Bag.render`` of each decoded row."""
+    cnet = net.compiled()
+    assert cnet.render(block) == [cnet.decode(row).render() for row in block.tolist()]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: quotient_ts(3), lambda: explore(build_npl_sys(2, 3, 3), (), mode="ordinary")],
+    ids=["quotient-3", "ordinary-2-3-3"],
+)
+def test_block_render_matches_bag_render_on_every_state(make):
+    # the 11,120 ordinary states share one net, which ``explore`` renders
+    # in two chunks of rows
+    ts = make()
+    assert ts._marks == [s.marking.render() for s in ts.states]
+    for net, markings in by_net(ts).items():
+        block = np.array([net.compiled().encode(m) for m in markings], dtype=np.int64)
+        assert_renders_like_bags(net, block)
+
+
+@pytest.mark.parametrize("top", [100, 2**63 - 1])
+def test_block_render_orders_places_not_count_text(top):
+    # "10" < "100" < "12" < "9" as text; the tokens keep place order
+    net = npl_net(1, 2)
+    width = len(net.compiled().places)
+    counts = [0, 9, 10, 12, top]
+    rows = [[counts[(i + j) % len(counts)] for j in range(width)] for i in range(len(counts))]
+    rows += [[c] * width for c in counts] + [[0] * (width - 1) + [top]]
+    block = np.array(rows, dtype=np.int64)
+    assert_renders_like_bags(net, block)
+    assert net.compiled().render(np.zeros((1, width), dtype=np.int64)) == ["nilP"]
+    assert Net().compiled().render(np.zeros((2, 0), dtype=np.int64)) == ["nilP", "nilP"]
+
+
+@given(st.lists(
+    st.lists(st.one_of(st.integers(0, 12), st.integers(0, 2**63 - 1)), min_size=3, max_size=3),
+    max_size=12,
+))
+def test_block_render_matches_bag_render_on_random_counts(rows):
+    net = small_nets()["three-priorities"]
+    assert len(net.compiled().places) == 3
+    assert_renders_like_bags(net, np.array(rows, dtype=np.int64).reshape(len(rows), 3))
 
 
 def test_encode_rejects_foreign_places():

@@ -18,9 +18,12 @@ from rwspn import (
     place,
     production_rules,
     quotient_partition,
+    to_augmented,
 )
+from rwspn.canon import normalize_states
 from rwspn.ctmc import Generator, build_generator, throughput
 from rwspn.net import CompiledNet
+from rwspn.rewrite import RewriteRule, compile_site
 
 from conftest import chain, equal_tag_firing_and_rule, ordinary_ts, quotient_ts
 
@@ -118,6 +121,58 @@ def test_budget_counts_the_initial_state(budget):
         explore(System(Net(), Bag()), max_states=budget)
     assert (err.value.states, err.value.level, err.value.budget) == (1, 0, budget)
     assert len(explore(System(Net(), Bag()), max_states=1)) == 1
+
+
+P0 = place(("p", 0))
+
+
+def _drain(tokens: int) -> System:
+    """One place holding ``tokens``; one transition takes a token from it."""
+    net = Net((Transition(Bag({P0: 1}), Bag(), Bag(), TransitionTag("t")),))
+    return System(net, Bag({P0: tokens}))
+
+
+# the empty net rewrites to ``_drain(2)``; no other net has a match
+SEED = RewriteRule(
+    "seed",
+    0.5,
+    sites=lambda n: [] if n.transitions else [
+        compile_site(n, (), Bag(), Net(), _drain(2), lambda pl: None)
+    ],
+)
+
+
+@pytest.mark.parametrize("mode", ["quotient", "ordinary"])
+def test_the_empty_net_explores_to_one_state(mode, tmp_path):
+    ts = explore(System(Net()), mode=mode)
+    assert len(ts) == 1 and ts.final_states() == (0,) and ts.edges == []
+    assert ts.states[0] == System(Net())
+    ts.write_states(tmp_path / "states.txt")
+    ts.write_edges(tmp_path / "edges.txt")
+    build_generator(ts).write_coo(tmp_path / "generator.coo")
+    assert (tmp_path / "states.txt").read_text() == "emptyN  nilP\n"
+    assert (tmp_path / "edges.txt").read_text() == ""
+    assert (tmp_path / "generator.coo").read_text() == "1\n"
+
+
+@pytest.mark.parametrize("start", [System(Net()), _drain(2)], ids=["zero-place", "one-place"])
+def test_zero_and_one_place_states(start):
+    # the zero-place start reaches the one-place net through a rule
+    quotient = explore(start, (SEED,), mode="quotient")
+    ordinary = explore(start, (SEED,), mode="ordinary")
+    zero = not start.net.transitions
+    expected = [System(Net())] * zero + [_drain(2), _drain(1), _drain(0)]
+    assert list(quotient.states) == list(ordinary.states) == expected
+    assert quotient.edges == ordinary.edges
+    assert [e[2:] for e in quotient.edges] == [("seed", 0.5)] * zero + [("t", 1.0)] * 2
+    assert normalize_states(ordinary._cells) == quotient._cells
+    assert normalize_states(quotient._cells[:1]) == quotient._cells[:1]
+    assert quotient_partition(ordinary, quotient) == list(range(len(expected)))
+    empty = to_augmented(System(Net()), (SEED,))
+    assert (empty.firing_targets, empty.rewrite_targets) == ({}, {_drain(2): {"seed": 0.5}})
+    one = to_augmented(_drain(2), (SEED,))
+    assert (one.firing_targets, one.rewrite_targets) == ({Bag({P0: 1}): {"t": 1.0}}, {})
+    assert to_augmented(_drain(0), (SEED,)).firing_targets == {}
 
 
 def test_invalid_mode():
