@@ -7,6 +7,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle, islice
 from typing import Sequence
 
 import numpy as np
@@ -235,12 +236,51 @@ def _poisson_window(mu: float, eps: float) -> tuple[int, int, np.ndarray]:
 # most uniformization terms ``transient`` runs for one step
 _MAX_TERMS = 2_000_000
 
+# ``transient`` runs b = max(1, _RING // nnz(Pᵀ)) mat-vecs per kernel call, so
+# that a call reads about _RING entries of Pᵀ, or once Pᵀ when it has more
+_RING = 2**14
+
 
 def _check_eps(eps: float) -> None:
     """Reject an accuracy that ``transient`` cannot honor."""
     # at or below 2**-54, 1 - eps rounds to 1 and the window has no right end
     if not 2.0**-54 < eps < 1:
         raise ValueError(f"eps must lie in (2**-54, 1), got {eps!r}")
+
+
+def _ring(pt: sp.csr_matrix, b: int) -> tuple:
+    """``(b, indptr, indices, data)``: 2b copies of the n×n CSR matrix
+    ``pt`` in one CSR matrix, in which the rows of block j read the columns
+    of block j - 1 mod 2b.  At b = 1 it is ``pt``'s own arrays.
+
+    One kernel call on the rows of b consecutive blocks, reading and
+    writing one vector of 2b·n entries, runs b mat-vecs, provided the
+    kernel reads and writes that vector in row order; that is checked here,
+    and ``RuntimeError`` raised if not.  The indices keep ``pt``'s dtype.
+    """
+    if b == 1:
+        return 1, pt.indptr, pt.indices, pt.data
+    n, nnz, dtype = pt.shape[0], pt.nnz, pt.indices.dtype
+    blocks = np.arange(2 * b, dtype=dtype)[:, None]
+    indptr = np.empty(2 * b * n + 1, dtype=dtype)
+    np.add(pt.indptr[:-1], nnz * blocks, out=indptr[:-1].reshape(2 * b, n))
+    indptr[-1] = 2 * b * nnz
+    indices = np.empty(2 * b * nnz, dtype=dtype)
+    np.add(pt.indices, n * np.roll(blocks, 1), out=indices.reshape(2 * b, nnz))
+    data = np.empty(2 * b * nnz)
+    data.reshape(2 * b, nnz)[:] = pt.data
+    # an aliased two-block call against two calls on separate vectors; the
+    # entries of x, and of every P^k x, are positive, as P's diagonal is
+    x = np.arange(1.0, n + 1)
+    one, two = np.zeros(n), np.zeros(n)
+    csr_matvec(n, n, pt.indptr, pt.indices, pt.data, x, one)
+    csr_matvec(n, n, pt.indptr, pt.indices, pt.data, one, two)
+    v = np.zeros(2 * b * n)
+    v[-n:] = x
+    csr_matvec(2 * n, 2 * b * n, indptr, indices, data, v, v[:2 * n])
+    if v[:2 * n].tobytes() != one.tobytes() + two.tobytes():
+        raise RuntimeError("scipy's csr_matvec does not read and write one vector in row order")
+    return b, indptr, indices, data
 
 
 def transient(
@@ -260,11 +300,20 @@ def transient(
     then clipped to nonnegative and renormalized.  The mat-vecs below
     ``left`` still run, but add nothing to the sum.
     ``details`` receives ``raw_mass`` (before renormalization; it differs
-    from 1 by the mat-vecs' rounding drift) and ``terms``, the number of
-    mat-vecs plus one.  ``t`` must be finite and nonnegative and ``eps`` in
-    (2**-54, 1), else ``ValueError``.  ``TransientBudgetError`` is raised
-    when mu >= ``_MAX_TERMS`` or the window needs more than ``_MAX_TERMS``
-    terms.
+    from 1 by the mat-vecs' rounding drift), ``terms``, the number of
+    mat-vecs plus one, and ``left``.  ``t`` must be finite and nonnegative
+    and ``eps`` in (2**-54, 1), else ``ValueError``.
+    ``TransientBudgetError`` is raised when mu >= ``_MAX_TERMS`` or the
+    window needs more than ``_MAX_TERMS`` terms.
+
+    The mat-vecs run b at a time, b = max(1, ``_RING`` // nnz(Pᵀ)), on the
+    ``_ring`` of Pᵀ, built once per generator: one call of scipy's CSR
+    kernel fills one half of a vector of 2b blocks, each block Pᵀ times the
+    block before it, and the calls alternate halves.  The kernel starts
+    each row's sum at the zeroed output and adds the row's products in
+    order, so every step runs the floating-point operations of one
+    ``Pᵀ @ x``, and the window's terms are added into the sum one step at
+    a time as before: the result is the same to the bit for every b.
 
     Absorbed-mass shortcut: if the mass m of pi0 on states with a nonzero
     exit rate is at most eps/2, pi0 is returned unchanged, with ``terms`` 0.
@@ -280,7 +329,7 @@ def transient(
         raise ValueError(f"pi0 must have length {gen.n}")
     if t == 0 or pi[gen._live].sum() <= eps / 2:
         if details is not None:
-            details.update(raw_mass=float(pi.sum()), terms=0)
+            details.update(raw_mass=float(pi.sum()), terms=0, left=0)
         return pi
     lam = 1.02 * gen.max_exit_rate
     mu = lam * t
@@ -296,26 +345,58 @@ def transient(
             f"{right + 1} uniformization terms needed, budget is {_MAX_TERMS}"
         )
     if gen._uniformized is None:
-        gen._uniformized = (sp.eye(gen.n, format="csr") + gen.matrix / lam).T.tocsr()
-    pt = gen._uniformized
-    weights = weights.tolist()
-    # pt @ x through the kernel that ``@`` ends in, on two preallocated
-    # vectors that swap roles; the kernel adds into y, so y is zeroed first
-    csr = (gen.n, gen.n, pt.indptr, pt.indices, pt.data)
-    x, y = pi, np.empty_like(pi)
-    # each window term is w * x in ``term``, then added into ``acc`` in place
-    acc, term = np.zeros_like(pi), np.empty_like(pi)
-    for k in range(right + 1):
-        if k:
-            y.fill(0.0)
-            csr_matvec(*csr, x, y)
-            x, y = y, x
-        if k >= left:
-            np.multiply(x, weights[k - left], out=term)
-            np.add(acc, term, out=acc)
+        pt = (sp.eye(gen.n, format="csr") + gen.matrix / lam).T.tocsr()
+        gen._uniformized = _ring(pt, max(1, _RING // pt.nnz))
+    b, indptr, indices, data = gen._uniformized
+    n = gen.n
+    # step k lands in block (k - 1) mod 2b, so pi0, step 0, in the last
+    # block; the calls fill the halves in turn
+    v = np.empty(2 * b * n)
+    v[-n:] = pi
+    halves = v[:b * n], v[b * n:]
+    # each half, the kernel's arguments that fill it, and its blocks; at
+    # b = 1 the kernel reads the other half
+    calls = cycle([
+        (half, (b * n, 2 * b * n, indptr[h * b * n:], indices, data, v, half) if b > 1
+         else (n, n, indptr, indices, data, halves[1 - h], half), half.reshape(b, n))
+        for h, half in enumerate(halves)
+    ])
+    # the window's terms w[k] · (step k), added into ``acc`` one step at a time
+    acc, terms = np.zeros(n), np.empty((b, n))
+    rows = list(terms)
+    if left == 0:
+        np.multiply(pi, weights[0], out=rows[0])
+        np.add(acc, rows[0], out=acc)
+    k = max(0, left - 1) // b * b  # the steps of the calls wholly below left
+    for half, call, _ in islice(calls, k // b):
+        half.fill(0.0)
+        csr_matvec(*call)
+    while k < right:
+        # this call runs steps k + 1 .. k + c, of which k + a + 1 .. are in the window
+        a, c = max(0, left - k - 1), min(b, right - k)
+        if a == 0 and c == b:  # so are all steps of the full calls from here
+            m = (right - k) // b
+            steady = weights[k + 1 - left:k + 1 - left + m * b].reshape(m, b, 1)
+            for w, (half, call, block) in zip(steady, calls):
+                half.fill(0.0)
+                csr_matvec(*call)
+                np.multiply(block, w, out=terms)
+                for row in rows:
+                    np.add(acc, row, out=acc)
+            k += m * b
+            continue
+        half, call, block = next(calls)
+        if c < b:
+            call = (c * n, *call[1:-1], half[:c * n])
+        half.fill(0.0)
+        csr_matvec(*call)
+        np.multiply(block[a:c], weights[k + a + 1 - left:k + c + 1 - left, None], out=terms[a:c])
+        for row in rows[a:c]:
+            np.add(acc, row, out=acc)
+        k += c
     raw_mass = float(acc.sum())
     if details is not None:
-        details.update(raw_mass=raw_mass, terms=right + 1)
+        details.update(raw_mass=raw_mass, terms=right + 1, left=left)
     np.clip(acc, 0.0, None, out=acc)
     return acc / acc.sum()
 

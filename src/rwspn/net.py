@@ -260,21 +260,28 @@ class CompiledNet:
 
     ``places`` is the net's sorted place tuple, so a vector lists its entries
     in ``Bag.items()`` order.  ``step`` expands a block of markings, one
-    int64 row each, from arrays built here from the transitions' bags, in
-    net order: one check per input pair (it fails below the count) and per
-    inhibitor pair (it fails at or above the bound), grouped by transition;
-    the transitions that have checks, with the first check of each;
-    priorities; Δ = output − input; and the largest entry of Δ.
+    int64 row each, from arrays built on its first call from the
+    transitions' bags, in net order (many compiled nets are only indexed,
+    encoded or decoded, and never stepped): one check per input pair (it
+    fails below the count) and per inhibitor pair (it fails at or above the
+    bound), grouped by transition; the transitions that have checks, with
+    the first check of each; priorities; Δ = output − input; and the
+    largest entry of Δ.
     """
 
-    __slots__ = ("places", "index", "_arrays")
+    __slots__ = ("places", "index", "_transitions", "_arrays")
 
     def __init__(self, net: Net):
         self.places = net.places()
         self.index = {pl: i for i, pl in enumerate(self.places)}
+        self._transitions = net.transitions
+        self._arrays = None
+
+    def _step_arrays(self) -> tuple:
+        transitions = self._transitions
         checks, checked, starts = [], [], []  # (place, count, inhibits) per check
-        delta = np.zeros((len(net), len(self.places)), dtype=np.int64)
-        for k, t in enumerate(net):
+        delta = np.zeros((len(transitions), len(self.places)), dtype=np.int64)
+        for k, t in enumerate(transitions):
             if t.input or t.inhibitor:
                 checked.append(k)
                 starts.append(len(checks))
@@ -287,9 +294,10 @@ class CompiledNet:
         self._arrays = (
             idx, thr, inhibits.astype(bool), np.array(checked, dtype=np.intp),
             np.array(starts, dtype=np.intp),
-            np.array([t.tag.priority for t in net], dtype=np.int64), delta,
+            np.array([t.tag.priority for t in transitions], dtype=np.int64), delta,
             int(delta.max(initial=0)),
         )
+        return self._arrays
 
     def encode(self, marking: Bag) -> tuple:
         vec = [0] * len(self.places)
@@ -345,7 +353,9 @@ class CompiledNet:
         order, and ``targets`` the marking each of them fires to.  Raises
         ``ValueError`` when a target count does not fit in int64.
         """
-        idx, thr, inhibits, checked, starts, priority, delta, grow = self._arrays
+        idx, thr, inhibits, checked, starts, priority, delta, grow = (
+            self._arrays or self._step_arrays()
+        )
         has = np.ones((len(block), len(priority)), dtype=bool)
         fails = (block[:, idx] < thr) != inhibits
         has[:, checked] = ~np.logical_or.reduceat(fails, starts, axis=1)

@@ -28,6 +28,7 @@ from rwspn import (
     rule_app,
 )
 
+from rwspn.net import CompiledNet
 from rwspn.rewrite import expand
 
 from conftest import ordinary_ts, quotient_ts, random_marking
@@ -207,6 +208,23 @@ def test_block_render_matches_bag_render_on_random_counts(rows):
     net = small_nets()["three-priorities"]
     assert len(net.compiled().places) == 3
     assert_renders_like_bags(net, np.array(rows, dtype=np.int64).reshape(len(rows), 3))
+
+
+def test_compiling_builds_no_step_arrays_until_the_first_step():
+    # many compiled nets are only indexed, encoded, decoded or rendered
+    system = build_npl_sys(1, 2, 2)
+    cnet = CompiledNet(system.net)  # nets are interned, so compiled() may be stepped already
+    block = np.array([cnet.encode(system.marking)], dtype=np.int64)
+    assert cnet.decode(block[0].tolist()) == system.marking
+    assert cnet.render(block) == [system.marking.render()]
+    assert cnet._arrays is None
+    first = cnet.step(block)
+    arrays = cnet._arrays
+    assert arrays is not None
+    again = cnet.step(block)
+    assert cnet._arrays is arrays
+    for a, b, c in zip(first, again, system.net.compiled().step(block)):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_encode_rejects_foreign_places():

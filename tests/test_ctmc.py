@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -29,7 +29,7 @@ from rwspn import (
     throughput,
     transient,
 )
-from rwspn.ctmc import _LEFT_SHARE, _poisson_window
+from rwspn.ctmc import _LEFT_SHARE, _RING, _poisson_window, _ring
 
 from conftest import chain, ordinary_ts, quotient_ts
 
@@ -397,38 +397,126 @@ def test_transient_accepts_eps_at_the_ends_of_its_range(eps):
     assert 2 * abs(pi[0] - math.exp(-7.0)) <= 2 * eps + 1e-16
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_transient_matvec_is_bit_identical_to_matmul(n):
-    # reference: the per-term ``pt @ vec`` loop, on the same weights
-    gen = build_generator(quotient_ts(n))
-    pi0 = np.zeros(gen.n)
-    pi0[0] = 1.0
-    eps = 1e-12
-    t = 300.0 / gen.max_exit_rate  # left > 0, so both kinds of term run
-    transient(gen, pi0, t, eps=eps)  # builds gen._uniformized
-    pt = gen._uniformized
-    mu = 1.02 * gen.max_exit_rate * t
-    left, right, weights = _poisson_window(mu, eps)
-    assert left > 0
-    weights = weights.tolist()
-    vec = pi0
+def _uniformized(gen):
+    """Pᵀ = (I + Q/Λ)ᵀ at Λ = 1.02 × the largest exit rate."""
+    lam = 1.02 * gen.max_exit_rate
+    return (sp.eye(gen.n, format="csr") + gen.matrix / lam).T.tocsr()
+
+
+def _per_term(pt, pi0, left, weights):
+    """The per-term ``pt @ vec`` loop over the window: the clipped and
+    renormalized sum, and its raw mass."""
+    vec = np.array(pi0, dtype=np.float64)
     for _ in range(left):
         vec = pt @ vec
     acc = weights[0] * vec
     for w in weights[1:]:
         vec = pt @ vec
         acc += w * vec
-    expected = np.clip(acc, 0.0, None) / np.clip(acc, 0.0, None).sum()
+    return np.clip(acc, 0.0, None) / np.clip(acc, 0.0, None).sum(), float(acc.sum())
+
+
+def _int64(pt):
     wide = pt.copy()
     wide.indices = wide.indices.astype(np.int64)
     wide.indptr = wide.indptr.astype(np.int64)
-    for matrix in (pt, wide):
-        gen._uniformized = matrix
+    return wide
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transient_matvec_is_bit_identical_to_matmul(n):
+    # reference: the per-term ``pt @ vec`` loop, on the same weights
+    gen = build_generator(quotient_ts(n))
+    pt = _uniformized(gen)
+    pi0 = np.zeros(gen.n)
+    pi0[0] = 1.0
+    eps = 1e-12
+    t = 300.0 / gen.max_exit_rate  # left > 0, so both kinds of term run
+    left, right, weights = _poisson_window(1.02 * gen.max_exit_rate * t, eps)
+    assert left > 0
+    expected, raw_mass = _per_term(pt, pi0, left, weights.tolist())
+    b = max(1, _RING // pt.nnz)
+    # the ring that transient builds, then one built from an int64 Pᵀ
+    for ring in (None, _ring(_int64(pt), b)):
+        if ring is not None:
+            gen._uniformized = ring
         details = {}
         got = transient(gen, pi0, t, eps=eps, details=details)
-        assert details == {"raw_mass": float(acc.sum()), "terms": right + 1}
+        assert details == {"raw_mass": raw_mass, "terms": right + 1, "left": left}
         assert got.tobytes() == expected.tobytes()
-    assert gen._uniformized.indices.dtype == np.int64
+        assert gen._uniformized[0] == b
+    assert gen._uniformized[2].dtype == np.int64
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@st.composite
+def ring_cases(draw):
+    """A small generator, pi0, t, eps, and the b of the ring to solve it on:
+    past ``right``, or dividing ``right`` or ``right - 1``, or any."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    rate = st.floats(1 / 64, 8.0, allow_subnormal=False)
+    gen = Generator(n, {key: draw(rate) for key in keys})  # states without an edge absorb
+    pi0 = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.float64)
+    if not pi0.any():
+        pi0[draw(st.integers(0, n - 1))] = 1.0
+    pi0 /= pi0.sum()
+    eps = draw(st.sampled_from([0.5, 1e-3, 1e-9, 1e-12]))
+    mu = draw(st.floats(1e-3, 80.0))  # the window starts at 0 for small mu
+    t = mu / (1.02 * gen.max_exit_rate) if gen.max_exit_rate else mu
+    right = _poisson_window(mu, eps)[1] if gen.max_exit_rate else 0
+    how = draw(st.sampled_from(["past", "multiple", "one past", "any"]))
+    if how == "past":
+        b = right + draw(st.integers(1, 3))
+    elif how == "multiple" and right >= 1:
+        b = draw(st.sampled_from(_divisors(right)))
+    elif how == "one past" and right >= 2:
+        b = draw(st.sampled_from(_divisors(right - 1)))
+    else:
+        b = draw(st.integers(1, 6))
+    return gen, pi0, t, eps, b, draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(ring_cases())
+def test_ring_is_bit_identical_to_matmul_on_small_generators(case):
+    gen, pi0, t, eps, b, wide = case
+    details = {}
+    if gen.max_exit_rate == 0 or pi0[gen._live].sum() <= eps / 2:
+        # the absorbed-mass shortcut: no mat-vec runs
+        assert transient(gen, pi0, t, eps=eps, details=details).tobytes() == pi0.tobytes()
+        assert details == {"raw_mass": float(pi0.sum()), "terms": 0, "left": 0}
+        return
+    pt = _uniformized(gen)
+    gen._uniformized = _ring(_int64(pt) if wide else pt, b)
+    left, right, weights = _poisson_window(1.02 * gen.max_exit_rate * t, eps)
+    expected, raw_mass = _per_term(pt, pi0, left, weights.tolist())
+    got = transient(gen, pi0, t, eps=eps, details=details)
+    assert details == {"raw_mass": raw_mass, "terms": right + 1, "left": left}
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_ring_refuses_a_kernel_that_does_not_read_what_it_wrote(monkeypatch):
+    # a kernel that reads a copy of its input fills the second block from
+    # the zeroed first one; the ring is refused when built, never used
+    gen = build_generator(quotient_ts(1))
+    pt = _uniformized(gen)
+    assert _RING // pt.nnz >= 2
+    kernel = rwspn.ctmc.csr_matvec
+    monkeypatch.setattr(rwspn.ctmc, "csr_matvec",
+                        lambda *args: kernel(*args[:5], args[5].copy(), args[6]))
+    with pytest.raises(RuntimeError, match="does not read and write one vector in row order"):
+        transient(gen, [1.0] + [0.0] * (gen.n - 1), 10.0)
+    assert gen._uniformized is None
+    with pytest.raises(RuntimeError, match="row order"):
+        _ring(_int64(pt), 2)
+    # at b = 1 each call reads the other half, so nothing is checked
+    b, *arrays = _ring(pt, 1)
+    assert b == 1 and all(a is x for a, x in zip(arrays, (pt.indptr, pt.indices, pt.data)))
 
 
 def test_throughput_simple():
