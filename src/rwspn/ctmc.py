@@ -42,6 +42,10 @@ class Generator:
     """
 
     def __init__(self, n: int, offdiag: dict[tuple[int, int], float]):
+        # ``np.fromiter`` would cast 0.5 to 0 and True to 1
+        for i in (i for key in offdiag for i in key):
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise ValueError(f"state index {i!r} is not an int")
         rows = np.fromiter((i for i, _ in offdiag), dtype=np.int64, count=len(offdiag))
         cols = np.fromiter((j for _, j in offdiag), dtype=np.int64, count=len(offdiag))
         data = np.fromiter(offdiag.values(), dtype=np.float64, count=len(offdiag))
@@ -251,16 +255,18 @@ def _check_eps(eps: float) -> None:
 def _ring(pt: sp.csr_matrix, b: int) -> tuple:
     """``(b, indptr, indices, data)``: 2b copies of the n×n CSR matrix
     ``pt`` in one CSR matrix, in which the rows of block j read the columns
-    of block j - 1 mod 2b.  At b = 1 it is ``pt``'s own arrays.
+    of block j - 1 mod 2b.
 
-    One kernel call on the rows of b consecutive blocks, reading and
-    writing one vector of 2b·n entries, runs b mat-vecs, provided the
-    kernel reads and writes that vector in row order; that is checked here,
-    and ``RuntimeError`` raised if not.  The indices keep ``pt``'s dtype.
+    ``transient`` makes every kernel call in one shape: the rows of b
+    consecutive blocks, reading and writing one vector of 2b·n entries, so
+    that one call runs b mat-vecs.  That holds only if the kernel reads and
+    writes that vector in row order, so one such call is checked here, at
+    every b, against b separate mat-vecs, and ``RuntimeError`` raised if
+    they differ in a bit.  The indices keep ``pt``'s dtype while 2b·nnz
+    fits in int32, and are int64 past that.
     """
-    if b == 1:
-        return 1, pt.indptr, pt.indices, pt.data
-    n, nnz, dtype = pt.shape[0], pt.nnz, pt.indices.dtype
+    n, nnz = pt.shape[0], pt.nnz
+    dtype = np.int64 if 2 * b * nnz > np.iinfo(np.int32).max else pt.indices.dtype
     blocks = np.arange(2 * b, dtype=dtype)[:, None]
     indptr = np.empty(2 * b * n + 1, dtype=dtype)
     np.add(pt.indptr[:-1], nnz * blocks, out=indptr[:-1].reshape(2 * b, n))
@@ -269,16 +275,17 @@ def _ring(pt: sp.csr_matrix, b: int) -> tuple:
     np.add(pt.indices, n * np.roll(blocks, 1), out=indices.reshape(2 * b, nnz))
     data = np.empty(2 * b * nnz)
     data.reshape(2 * b, nnz)[:] = pt.data
-    # an aliased two-block call against two calls on separate vectors; the
-    # entries of x, and of every P^k x, are positive, as P's diagonal is
+    # one call that fills b blocks against b mat-vecs on separate vectors;
+    # the entries of x, and of every P^k x, are positive, as P's diagonal is
     x = np.arange(1.0, n + 1)
-    one, two = np.zeros(n), np.zeros(n)
-    csr_matvec(n, n, pt.indptr, pt.indices, pt.data, x, one)
-    csr_matvec(n, n, pt.indptr, pt.indices, pt.data, one, two)
+    steps = np.zeros((b + 1, n))
+    steps[0] = x
+    for k in range(b):
+        csr_matvec(n, n, pt.indptr, pt.indices, pt.data, steps[k], steps[k + 1])
     v = np.zeros(2 * b * n)
     v[-n:] = x
-    csr_matvec(2 * n, 2 * b * n, indptr, indices, data, v, v[:2 * n])
-    if v[:2 * n].tobytes() != one.tobytes() + two.tobytes():
+    csr_matvec(b * n, 2 * b * n, indptr, indices, data, v, v[:b * n])
+    if v[:b * n].tobytes() != steps[1:].tobytes():
         raise RuntimeError("scipy's csr_matvec does not read and write one vector in row order")
     return b, indptr, indices, data
 
@@ -301,19 +308,26 @@ def transient(
     ``left`` still run, but add nothing to the sum.
     ``details`` receives ``raw_mass`` (before renormalization; it differs
     from 1 by the mat-vecs' rounding drift), ``terms``, the number of
-    mat-vecs plus one, and ``left``.  ``t`` must be finite and nonnegative
-    and ``eps`` in (2**-54, 1), else ``ValueError``.
+    series terms ``right + 1`` (the kernel may run up to b - 1 more steps),
+    and ``left``.  ``t`` must be finite and nonnegative and ``eps`` in
+    (2**-54, 1), else ``ValueError``.
     ``TransientBudgetError`` is raised when mu >= ``_MAX_TERMS`` or the
     window needs more than ``_MAX_TERMS`` terms.
 
     The mat-vecs run b at a time, b = max(1, ``_RING`` // nnz(Pᵀ)), on the
-    ``_ring`` of Pᵀ, built once per generator: one call of scipy's CSR
-    kernel fills one half of a vector of 2b blocks, each block Pᵀ times the
-    block before it, and the calls alternate halves.  The kernel starts
-    each row's sum at the zeroed output and adds the row's products in
-    order, so every step runs the floating-point operations of one
-    ``Pᵀ @ x``, and the window's terms are added into the sum one step at
-    a time as before: the result is the same to the bit for every b.
+    ``_ring`` of Pᵀ, built once per generator: every call of scipy's CSR
+    kernel has one shape and fills one half of a vector of 2b blocks, each
+    block Pᵀ times the block before it, and the calls alternate halves.
+    The kernel starts each row's sum at the zeroed output and adds the
+    row's products in order, so every step runs the floating-point
+    operations of one ``Pᵀ @ x``.  Every call runs all its b steps: the
+    calls wholly below ``left`` only run the kernel, and the rest weight
+    each step from one array, zero outside ``left..right``, and add the
+    terms into the sum one step at a time.  A zero weight makes a term of
+    ±0.0, as every entry of P^k x is finite, and adding ±0.0 leaves any
+    number but -0.0 unchanged; the sum starts at +0.0, and a sum of two
+    numbers rounded to nearest is -0.0 only if both are, so it never is.
+    So the result is the same to the bit for every b.
 
     Absorbed-mass shortcut: if the mass m of pi0 on states with a nonzero
     exit rate is at most eps/2, pi0 is returned unchanged, with ``terms`` 0.
@@ -350,16 +364,12 @@ def transient(
     b, indptr, indices, data = gen._uniformized
     n = gen.n
     # step k lands in block (k - 1) mod 2b, so pi0, step 0, in the last
-    # block; the calls fill the halves in turn
+    # block; the calls fill the halves in turn, each running b steps
     v = np.empty(2 * b * n)
     v[-n:] = pi
-    halves = v[:b * n], v[b * n:]
-    # each half, the kernel's arguments that fill it, and its blocks; at
-    # b = 1 the kernel reads the other half
     calls = cycle([
-        (half, (b * n, 2 * b * n, indptr[h * b * n:], indices, data, v, half) if b > 1
-         else (n, n, indptr, indices, data, halves[1 - h], half), half.reshape(b, n))
-        for h, half in enumerate(halves)
+        (half, (b * n, 2 * b * n, indptr[h * b * n:], indices, data, v, half), half.reshape(b, n))
+        for h, half in enumerate((v[:b * n], v[b * n:]))
     ])
     # the window's terms w[k] · (step k), added into ``acc`` one step at a time
     acc, terms = np.zeros(n), np.empty((b, n))
@@ -367,33 +377,22 @@ def transient(
     if left == 0:
         np.multiply(pi, weights[0], out=rows[0])
         np.add(acc, rows[0], out=acc)
-    k = max(0, left - 1) // b * b  # the steps of the calls wholly below left
+    # the calls wholly below left run steps 1 .. k; the rest run k + 1 ..
+    # k + m·b, weighted 0 outside left..right
+    k = max(0, left - 1) // b * b
+    m = -(-right // b) - k // b
+    first = max(1, left)
+    w = np.zeros(m * b)
+    w[first - k - 1:right - k] = weights[first - left:]
     for half, call, _ in islice(calls, k // b):
         half.fill(0.0)
         csr_matvec(*call)
-    while k < right:
-        # this call runs steps k + 1 .. k + c, of which k + a + 1 .. are in the window
-        a, c = max(0, left - k - 1), min(b, right - k)
-        if a == 0 and c == b:  # so are all steps of the full calls from here
-            m = (right - k) // b
-            steady = weights[k + 1 - left:k + 1 - left + m * b].reshape(m, b, 1)
-            for w, (half, call, block) in zip(steady, calls):
-                half.fill(0.0)
-                csr_matvec(*call)
-                np.multiply(block, w, out=terms)
-                for row in rows:
-                    np.add(acc, row, out=acc)
-            k += m * b
-            continue
-        half, call, block = next(calls)
-        if c < b:
-            call = (c * n, *call[1:-1], half[:c * n])
+    for wj, (half, call, block) in zip(w.reshape(m, b, 1), calls):
         half.fill(0.0)
         csr_matvec(*call)
-        np.multiply(block[a:c], weights[k + a + 1 - left:k + c + 1 - left, None], out=terms[a:c])
-        for row in rows[a:c]:
+        np.multiply(block, wj, out=terms)
+        for row in rows:
             np.add(acc, row, out=acc)
-        k += c
     raw_mass = float(acc.sum())
     if details is not None:
         details.update(raw_mass=raw_mass, terms=right + 1, left=left)

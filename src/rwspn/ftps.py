@@ -180,10 +180,9 @@ def rule_r2() -> RewriteRule:
     return RewriteRule("r2", REMOVE_RATE, _r2_sites)
 
 
-def production_rules(k: int = 2) -> tuple[RewriteRule, ...]:
-    """The reconfiguration rules; defined for the two-branch scenario only."""
-    if k != 2:
-        raise ValueError("reconfiguration rules are defined for k = 2 only")
+def production_rules() -> tuple[RewriteRule, ...]:
+    """The reconfiguration rules; defined for the two-branch (k = 2)
+    scenario only."""
     return (rule_r1(), rule_r2())
 
 

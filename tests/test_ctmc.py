@@ -61,14 +61,30 @@ def test_generator_rejects_negative_rates():
         {(0, -1): 1.0},
         {(5, 0): 1.0},
         {(-1, 0): 1.0},
+        {(0.5, 1): 1.0},
+        {(0, 1.0): 1.0},
+        {(True, False): 1.0},
+        {(0, np.bool_(True)): 1.0},
     ],
 )
 def test_generator_rejects_non_finite_and_diagonal_rates(rates):
     # a diagonal key, or a column outside the states, would be listed by
-    # entries() and counted as an exit rate
-    outside = any(not 0 <= i < 2 for key in rates for i in key)
-    with pytest.raises(ValueError, match=r"state index outside 0\.\.1" if outside else None):
+    # entries() and counted as an exit rate; a float or bool key would be
+    # cast to another state
+    indices = [i for key in rates for i in key]
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in indices):
+        match = "is not an int"
+    elif not all(0 <= i < 2 for i in indices):
+        match = r"state index outside 0\.\.1"
+    else:
+        match = None
+    with pytest.raises(ValueError, match=match):
         Generator(2, rates)
+
+
+def test_generator_accepts_numpy_integer_indices():
+    gen = Generator(2, {(np.int64(0), np.int32(1)): 0.1})
+    assert gen.entries() == two_state_chain().entries()
 
 
 def test_build_generator_sums_parallel_edges_and_skips_self_loops():
@@ -514,9 +530,17 @@ def test_ring_refuses_a_kernel_that_does_not_read_what_it_wrote(monkeypatch):
     assert gen._uniformized is None
     with pytest.raises(RuntimeError, match="row order"):
         _ring(_int64(pt), 2)
-    # at b = 1 each call reads the other half, so nothing is checked
-    b, *arrays = _ring(pt, 1)
-    assert b == 1 and all(a is x for a, x in zip(arrays, (pt.indptr, pt.indices, pt.data)))
+    # at b = 1 a call fills one block from the other, never from one it
+    # wrote, so the copying kernel passes the check and gives the same bytes
+    ring = _ring(pt, 1)
+    assert ring[0] == 1 and len(ring[1]) == 2 * gen.n + 1
+    gen._uniformized = ring
+    pi0, t, eps = [1.0] + [0.0] * (gen.n - 1), 10.0, 1e-9
+    left, right, weights = _poisson_window(1.02 * gen.max_exit_rate * t, eps)
+    expected, raw_mass = _per_term(pt, pi0, left, weights.tolist())
+    details = {}
+    assert transient(gen, pi0, t, eps=eps, details=details).tobytes() == expected.tobytes()
+    assert details == {"raw_mass": raw_mass, "terms": right + 1, "left": left}
 
 
 def test_throughput_simple():

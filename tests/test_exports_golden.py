@@ -9,7 +9,9 @@ explorer whose rules still matched and applied on decoded systems.
 The ``solve`` cases pin ``measures.csv`` and ``generator.coo`` of
 ``rwspn solve --n N [--grid G --eps E]``; their digests were taken from the
 uniformization that multiplied through ``pt @ vec`` with weights from
-``exp(xlogy(k, mu) - gammaln(k + 1) - mu)``.
+``exp(xlogy(k, mu) - gammaln(k + 1) - mu)``, except that the default-grid
+N=3 and N=4 digests were taken from the uniformization that ran b mat-vecs
+per kernel call, with weights from Fox–Glynn's recurrence.
 """
 
 import hashlib
@@ -80,6 +82,15 @@ GOLDEN = {
     ("solve", 2): (
         "40d1e9ecb99071603429910fcd17a2ee2373bb07acf2f76b4d775fce6a9da0af",
         "53b49cd1f32826129a6e82ab06c84fb48cafc7d4f41f88f1e343798c463e66dc",
+    ),
+    # the rings of b = 3 and b = 1 mat-vecs per kernel call
+    ("solve", 3): (
+        "7333a7118fbf3cca28daf54105d9c247626f53dcf0dc191e01ed9eed72c35ed3",
+        "ec6f5633190ac15250da4fe821692b056e941c965cb87874edccbf62df831c8e",
+    ),
+    ("solve", 4): (
+        "1461e7f9dfbd9d454d489ba6c44b1e282800ee4b781581cdf37f1d6e299f07e6",
+        "3f1b8050905f53b1ee99544fe78c83fac255f1264c6cfcc5cd6be751a20fc0c3",
     ),
     ("solve", 2, "1:100000:100", "1e-12"): (
         "c68de92169789608648358749bfdcdffd8a0319e6e58116f8171b58981f1f4d0",

@@ -1,3 +1,4 @@
+import argparse
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from rwspn import (
     rule_app,
     set_mark,
 )
+
+from rwspn.cli import _rules_for
 
 from conftest import quotient_ts
 
@@ -166,6 +169,10 @@ def test_fault_monotonicity_under_firing():
             assert after >= before
 
 
-def test_rules_require_two_branches():
-    with pytest.raises(ValueError):
+def test_rules_require_two_branches(capsys):
+    # the rules take no k; at any other k the CLI explores firing only
+    with pytest.raises(TypeError):
         production_rules(3)
+    assert _rules_for(argparse.Namespace(k=3)) == ()
+    assert "exploring firing only" in capsys.readouterr().err
+    assert [r.tag for r in _rules_for(argparse.Namespace(k=2))] == ["r1", "r2"]
