@@ -137,7 +137,10 @@ def _class_flows(gen: Generator, partition: Sequence[int], tol: float):
     ``(labels, first, flows, detail)``: the sorted class labels, each
     class's first state, F as CSR, and None or the counterexample at the
     smallest breaching state and, within it, the smallest target class.
+    ``tol`` must be finite and nonnegative, else ``ValueError``.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     part = np.asarray(partition, dtype=np.int64)
     if len(part) != gen.n:
         raise ValueError("partition must cover all states")
@@ -309,8 +312,9 @@ def transient(
     ``details`` receives ``raw_mass`` (before renormalization; it differs
     from 1 by the mat-vecs' rounding drift), ``terms``, the number of
     series terms ``right + 1`` (the kernel may run up to b - 1 more steps),
-    and ``left``.  ``t`` must be finite and nonnegative and ``eps`` in
-    (2**-54, 1), else ``ValueError``.
+    and ``left``.  ``t`` must be finite and nonnegative, ``eps`` in
+    (2**-54, 1), and ``pi0`` a distribution: finite, nonnegative entries
+    whose sum is within 1e-9 of 1, else ``ValueError``.
     ``TransientBudgetError`` is raised when mu >= ``_MAX_TERMS`` or the
     window needs more than ``_MAX_TERMS`` terms.
 
@@ -341,6 +345,8 @@ def transient(
     pi = np.array(pi0, dtype=np.float64)
     if pi.shape != (gen.n,):
         raise ValueError(f"pi0 must have length {gen.n}")
+    if not ((pi >= 0).all() and abs(pi.sum() - 1) <= 1e-9):  # NaN >= 0 is False
+        raise ValueError("pi0 must have finite, nonnegative entries summing to 1")
     if t == 0 or pi[gen._live].sum() <= eps / 2:
         if details is not None:
             details.update(raw_mass=float(pi.sum()), terms=0, left=0)

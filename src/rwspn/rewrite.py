@@ -230,8 +230,7 @@ def rule_app(rule: RewriteRule, system: System) -> tuple[tuple[Match, System], .
 
 def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient: bool) -> tuple:
     """The successors of each (net, row) state of ``states``, labelled and
-    normalized: ``(failures, targets, src, dst, fired, label, labels,
-    rate)``.
+    normalized: ``(targets, src, dst, fired, label, labels, rate)``.
 
     The states are expanded per net as one block (``expand``), built from
     their rows with one join.  Each array holds one entry per raw edge:
@@ -243,9 +242,10 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
     normalized), and each group is normalized as one block
     (``normalize_block``) in ``quotient`` mode or for a rule that
     normalizes; ``targets`` lists each group's net and the rows of its
-    distinct targets, in the order in which ``dst`` counts them.
-    ``failures`` lists ``(position, error)`` for each state whose
-    ``expand`` fails, none raised; if there is one, the rest is None.
+    distinct targets, in the order in which ``dst`` counts them.  If
+    ``expand`` fails on some states, every group is still expanded, then
+    the error of the failing state with the least position is raised,
+    before any target is normalized.
     """
     # what gives each kind of edge its label and rate: the rules, then
     # the transition tags of each net; per step, the kind of each edge
@@ -271,7 +271,7 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
             parts.append(raws)
             offset += len(rows)
     if failed:
-        return (failed,) + (None,) * 7
+        raise min(failed, key=lambda f: f[0])[1]
     targets, count = [], 0  # (net, distinct rows) per group; the rows so far
     dst = np.empty(offset, dtype=np.int64)
     for (net, normalized), (at, parts) in groups.items():
@@ -287,7 +287,7 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
     label_of: dict[str, int] = {}
     label = np.array([label_of.setdefault(t.tag, len(label_of)) for t in tags], dtype=np.int64)
     rate = np.array([t.rate for t in tags], dtype=float)
-    return failed, targets, src, dst, kind >= len(rules), label[kind], list(label_of), rate[kind]
+    return targets, src, dst, kind >= len(rules), label[kind], list(label_of), rate[kind]
 
 
 def _distinct(rows: np.ndarray) -> tuple:
@@ -332,12 +332,10 @@ class AugmentedState:
 
 def to_augmented(system: System, rules: Sequence[RewriteRule] = ()) -> AugmentedState:
     """Augmented form of a system already in normal form: one
-    ``_successors`` pass over its state; raises the first failure of its
-    rule matches."""
-    failures, targets, _src, dst, fired, label, labels, rate = _successors(
+    ``_successors`` pass over its state, which raises the first failure
+    of its rule matches."""
+    targets, _src, dst, fired, label, labels, rate = _successors(
         [system._state()], rules, True)
-    if failures:
-        raise failures[0][1]
     targets = [(net, row) for net, rows in targets for row in rows]
     firing, rewrites = {}, {}  # normal target marking or system -> label -> rate
     for k, fire, lab, r in zip(dst.tolist(), fired.tolist(), label.tolist(), rate.tolist()):

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import rewrite
 from .canon import _runs, normalize_states
-from .net import Net, System, _block
+from .net import System, _block
 from .rewrite import RewriteRule, State
 
 Edge = tuple[int, int, str, float]  # source, target, label, rate
@@ -167,39 +167,44 @@ def explore(
     int64 marking vector over the net's compiled form (``Net.compiled``),
     and expands one level at a time through ``rewrite._successors``,
     which labels the successors, normalizes them per target net as one
-    block and returns the rows of the level's distinct targets.
-    ``explore`` is the one place that numbers states: it looks each row up
-    once in its net's dict, adds a new one at the current level, merges
-    the level's edges and keeps them as int32 arrays.  The markings are
-    rendered per net block (``CompiledNet.render``), to order each level
-    and for ``states.txt``.  The result keeps the rows and the edges as
-    arrays; no state is decoded to a ``System`` unless
+    block and returns the rows of the level's distinct targets.  Every
+    state of a level is found while the level before it is expanded, so
+    ``explore`` numbers each state once, when its level is complete: the
+    level's new rows are rendered per net block (``CompiledNet.render``),
+    sorted in canonical order (``System.key``: net text, then marking
+    text) and given their final ids.  So states are numbered by BFS
+    level, then canonical order.  Each level's edges are merged and kept
+    as int32 arrays; no state is decoded to a ``System`` unless
     ``TransitionSystem.states`` is read.
 
-    ``max_states`` is checked as each state is added; ``BudgetExceededError``
-    reports ``max_states + 1`` states and the BFS level of the state that
-    did not fit.  A rule match that fails (``InjectivityError``, or the
-    ``ValueError`` of a token on a place absent from the target or of a
-    count past int64) is raised for the failing state of the level that
-    comes first in the state numbering, with the error that this state
-    raises first on its own (rule order, then match order).  A level's
-    rule matches are all applied, and its targets normalized, before any
-    of the states they reach is added, so when the states that one level
-    reaches overflow the budget and a state of that level holds a failing
-    match, the rule error wins.
+    ``max_states`` must be an int, not a bool, else ``ValueError``.  It is
+    checked once per level; ``BudgetExceededError`` reports
+    ``max_states + 1`` states (1 for a budget below 1) and the level of
+    the first state that did not fit.  A failing rule match
+    (``InjectivityError``, or the ``ValueError`` of a token on a place
+    absent from the target or of a count past int64) is raised by
+    ``_successors`` for the level's failing state numbered first, with
+    the error that this state raises first on its own (rule order, then
+    match order), before the level's targets are counted: so it wins
+    over an exceeded budget in the same level.
     """
     if mode not in ("quotient", "ordinary"):
         raise ValueError(f"unknown mode {mode!r}")
+    if max_states is not None:
+        if not isinstance(max_states, int) or isinstance(max_states, bool):
+            raise ValueError(f"max_states must be an int or None, got {max_states!r}")
+        if max_states < 1:
+            raise BudgetExceededError(1, 0, max_states)
     quotient = mode == "quotient"
     start = initial._state()
     if quotient:
         (start,) = normalize_states([start])
 
-    if max_states is not None and max_states < 1:
-        raise BudgetExceededError(1, 0, max_states)
+    net, row = start
     states: list[State] = [start]
+    marks: list[str] = net.compiled().render(_block(net, [row]))
     levels: list[int] = [0]
-    ids: dict = {start[0]: {start[1]: 0}}  # net -> row -> id
+    ids: dict = {net: {row: 0}}  # net -> row -> id
     kind_of: dict[tuple[str, float], int] = {}  # (label, rate) -> kind id
     # int32 (src, dst, kind) arrays per level, after an empty one
     edges: list[tuple] = [(np.zeros(0, dtype=np.int32),) * 3]
@@ -208,50 +213,37 @@ def explore(
     while begin < len(states):  # expand states[begin:end], the last level found
         level += 1
         end = len(states)
-        failures, targets, src, dst, _fired, label, labels, rate = rewrite._successors(
+        targets, src, dst, _fired, label, labels, rate = rewrite._successors(
             states[begin:end], rules, quotient)
-        if failures:
-            raise min(failures, key=lambda f: System.decoded(*states[begin + f[0]]).key)[1]
-        number = []  # each target's id; a new target is added at this level
+        fresh: dict = {}  # net -> its new rows, in the order found
         for net, rows in targets:
-            seen = ids.setdefault(net, {})
+            seen = ids.get(net, {})
             for row in rows:
-                tid = seen.setdefault(row, len(states))
-                if tid == len(states):
-                    states.append((net, row))
-                    levels.append(level)
-                    if max_states is not None and len(states) > max_states:
-                        raise BudgetExceededError(len(states), level, max_states)
-                number.append(tid)
+                if row not in seen:
+                    fresh.setdefault(net, {})[row] = None
+        if max_states is not None and end + sum(map(len, fresh.values())) > max_states:
+            raise BudgetExceededError(max_states + 1, level, max_states)
+        # the new states in canonical order, each net's markings rendered
+        # ``_SLICE`` rows at a time
+        for net in sorted(fresh, key=lambda net: net.render()):
+            rows, render = list(fresh[net]), net.compiled().render
+            new = [mark for at in range(0, len(rows), _SLICE)
+                   for mark in render(_block(net, rows[at:at + _SLICE]))]
+            seen = ids.setdefault(net, {})
+            for i in sorted(range(len(rows)), key=new.__getitem__):
+                seen[rows[i]] = len(states)
+                states.append((net, rows[i]))
+                marks.append(new[i])
+        levels += [level] * (len(states) - end)
+        number = np.array([ids[net][row] for net, rows in targets for row in rows], dtype=np.int64)
         del targets  # freed before the next level
         if len(src):
-            edges.append(_merged(src + begin, np.array(number)[dst], label, rate, labels, kind_of))
+            edges.append(_merged(src + begin, number[dst], label, rate, labels, kind_of))
         begin = end
 
-    # renumber: BFS level, then canonical order (``System.key``: net text,
-    # then marking text) within a level, sorted as ranks; each net's
-    # markings are rendered ``_SLICE`` rows at a time
-    marks = [None] * len(states)
-    net_rank = np.empty(len(states), dtype=np.int64)
-    for rank, net in enumerate(sorted(ids, key=Net.render)):
-        seen = ids.pop(net)  # row -> id, in id order
-        members, rows = list(seen.values()), list(seen)
-        net_rank[members] = rank
-        for at in range(0, len(rows), _SLICE):
-            block = _block(net, rows[at:at + _SLICE])
-            for i, mark in zip(members[at:at + _SLICE], net.compiled().render(block)):
-                marks[i] = mark
-    mark_rank = np.empty(len(states), dtype=np.int64)
-    mark_rank[sorted(range(len(states)), key=marks.__getitem__)] = np.arange(len(states))
-    order = np.lexsort((mark_rank, net_rank, levels)).tolist()
-    remap = np.empty(len(states), dtype=np.int32)
-    remap[order] = np.arange(len(states))
     src, dst, kind = map(np.concatenate, zip(*edges))
     del edges
-    return TransitionSystem(
-        [states[i] for i in order], [marks[i] for i in order], levels,
-        remap[src], remap[dst], kind, list(kind_of),
-    )
+    return TransitionSystem(states, marks, levels, src, dst, kind, list(kind_of))
 
 
 def _merged(src, dst, label, rate, labels: list, kind_of: dict) -> tuple:

@@ -138,6 +138,10 @@ def test_lumpability_negative_case():
     assert detail["states"] == (0, 1)
     with pytest.raises(LumpabilityError):
         lump_generator(gen, [0, 0, 1])
+    for tol in (math.nan, math.inf, -1.0):  # a NaN or infinite tol would pass any partition
+        for check in (check_strong_lumpability, lump_generator):
+            with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+                check(gen, [0, 0, 1], tol=tol)
 
 
 TOL = 2.0**-10  # rates below are dyadic, so every sum is exact in any order
@@ -395,6 +399,14 @@ def test_transient_validates_inputs():
             transient(gen, np.array([1.0, 0.0]), t)
     with pytest.raises(ValueError):
         transient(gen, np.array([1.0]), 1.0)
+    # [-0.5, 1.5] and [0.0, -1.0] have no mass on the live state 0, so
+    # they would take the absorbed-mass shortcut; the rest would uniformize
+    for pi0 in ([-0.5, 1.5], [0.0, -1.0], [math.nan, 1.0], [math.inf, 0.0], [2.0, 0.0],
+                [0.5, 0.5 + 2e-9]):
+        with pytest.raises(ValueError, match="pi0 must have finite, nonnegative entries summing to 1"):
+            transient(gen, np.array(pi0), 1.0)
+    # a sum within 1e-9 of 1, as measure_series passes on, is accepted
+    assert transient(gen, np.array([0.5, 0.5 + 5e-10]), 1.0).sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf, 1.0, 2.0, 1e-17, 2.0**-54])

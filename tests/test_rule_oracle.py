@@ -35,6 +35,8 @@ from rwspn import (
     subnet_by_pair,
 )
 
+from rwspn.rewrite import _successors
+
 from conftest import ordinary_ts, quotient_ts
 
 S = place(("s", 0))
@@ -152,6 +154,21 @@ def test_explore_raises_for_the_first_failing_state_in_the_numbering(mode, k, fi
     assert str(err.value) == (
         f"result marks a place absent from the target net (source place {first})"
     )
+
+
+def test_successors_raises_for_the_least_failing_position_over_all_nets():
+    # the net of position 0 also holds the failing position 2, but the
+    # other net's failing position 1 comes first
+    s, t, u = (place((tag, 0)) for tag in "stu")
+    first = Net((Transition(Bag({s: 1}), Bag({t: 1}), Bag(), TransitionTag("a")),))
+    second = Net((Transition(Bag({u: 1}), Bag({u: 1}), Bag(), TransitionTag("b")),))
+    only_s = Net((Transition(Bag({s: 1}), Bag({s: 1}), Bag(), TransitionTag("c")),))
+    states = [System(first, Bag({s: 1})), System(second, Bag({u: 1})), System(first, Bag({t: 1}))]
+    for quotient in (True, False):
+        with pytest.raises(ValueError) as err:
+            _successors([x._state() for x in states], (keep_rule(only_s),), quotient)
+        # u is place 0 of the second net; t is place 1 of the first
+        assert str(err.value) == "result marks a place absent from the target net (source place 0)"
 
 
 @pytest.mark.parametrize("mode", ["quotient", "ordinary"])

@@ -51,6 +51,21 @@ def test_levels_monotone_and_edges_sorted():
         seen.add((src, dst, label))
 
 
+@pytest.mark.parametrize("ts", [quotient_ts(3), ordinary_ts(2)], ids=["quotient N=3", "ordinary N=2"])
+def test_each_level_is_in_canonical_order(ts):
+    # within a level, states are numbered by System.key: net text, then
+    # marking text; a rule error is raised for the least failing position
+    # of a level, so that order is what makes it the first in the numbering
+    keys = [s.key for s in ts.states]
+    nets = {}
+    for level, key in zip(ts.levels, keys):
+        nets.setdefault(level, set()).add(key[0])
+    assert max(map(len, nets.values())) > 2  # levels that hold several nets
+    for i in range(1, len(ts)):
+        if ts.levels[i] == ts.levels[i - 1]:
+            assert keys[i - 1] < keys[i]
+
+
 def test_quotient_states_are_normal_forms():
     ts = quotient_ts(2)
     for s in ts.states[:40]:
@@ -88,9 +103,12 @@ def test_firing_and_rule_with_equal_tag_and_target_merge(mode):
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError) as err:
         explore(build_npl_sys(2, 2, 2), production_rules(), mode="quotient", max_states=50)
-    # checked as each state is added, not after a whole BFS level
+    # checked once per BFS level, yet it reports the first state that did not fit
     assert err.value.states == 51
     assert err.value.budget == 50
+    for budget in (2.5, True):
+        with pytest.raises(ValueError, match="max_states must be an int or None"):
+            explore(build_npl_sys(2, 2, 2), production_rules(), mode="quotient", max_states=budget)
 
 
 BUDGET_MODELS = {
