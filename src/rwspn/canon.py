@@ -323,9 +323,9 @@ class _Images(NamedTuple):
 
     # the least image net by rendering, None if that is the raw net itself
     net: Net | None
-    # per distinct place map of an assignment reaching that net: the image
-    # of each of the raw net's places, aligned with ``places()``
-    maps: tuple
+    # (maps x places): per distinct place map of an assignment reaching
+    # that net, the index in its compiled places of each raw place's image
+    maps: np.ndarray
 
 
 def _images(net: Net, assignments) -> _Images:
@@ -339,31 +339,64 @@ def _images(net: Net, assignments) -> _Images:
             best, kept = image, []
         if image is best:
             kept.append(assignment)
-    maps = (tuple(_rewrite_place(pl, a) for pl in net.places()) for a in kept)
-    least = None if best is net else best
-    table = net._cache[_Images] = _Images(least, tuple(dict.fromkeys(maps)))
+    index = best.compiled().index
+    maps = dict.fromkeys(tuple(index[_rewrite_place(pl, a)] for pl in net.places()) for a in kept)
+    table = net._cache[_Images] = _Images(
+        None if best is net else best,
+        np.array(list(maps), dtype=np.intp).reshape(len(maps), len(index)),
+    )
     return table
 
 
-def brute_force_normal(system: System, bound: int = _BOUND) -> System:
-    """Testing oracle: enumerate every admissible index assignment.
+def brute_force_states(states: list, bound: int = _BOUND) -> list:
+    """Testing oracle: the least image of each (net, row) state over every
+    admissible index assignment, as such a state.
 
     For each sibling group all bijections of its index set onto 0..k-1 are
     tried (covering both permutation and re-densification); the systemOrder
     minimum is returned.  An image net depends only on the net, so the
     images are built once per net: the least image and the place maps of
-    the assignments reaching it are kept with the net.  Each call renames
-    the marking through every kept map; since ``System.key`` compares the
-    net first, the least of those is the least image of the system.  The
-    bound is checked on every call, before the table is used.
+    the assignments reaching it are kept with the net.  Each net's rows
+    are renamed through every kept map at once, a chunk of rows at a time,
+    and every image of a chunk is rendered in one ``CompiledNet.render``
+    call; since ``System.key`` compares the net first, a row's least
+    rendering is its least image.  The bound is checked per net on every
+    call, before the table is used.
     """
-    net = system.net
-    assignments = _arrangements(sibling_groups(net), bound)
-    table = net._cache.get(_Images) or _images(net, assignments)
-    index = net.compiled().index
-    items = [(index[pl], c) for pl, c in system.marking.items()]
-    images = (Bag({image[i]: c for i, c in items}) for image in table.maps)
-    return System(table.net or net, min(images, key=Bag.render))
+    out = [None] * len(states)
+    for net, (members, rows) in _by_net(states).items():
+        assignments = _arrangements(sibling_groups(net), bound)
+        table = net._cache.get(_Images) or _images(net, assignments)
+        least = table.net or net
+        maps, block = table.maps, _block(net, rows)
+        # an image's rendering costs far more memory than its int64 cells,
+        # so a chunk holds at most a quarter of ``_CELLS`` image cells: whole
+        # rows, or the images of one row through a slice of the maps
+        per = max(1, _CELLS // 4 // max(1, maps.shape[1]))
+        step, cut = max(1, per // len(maps)), min(per, len(maps))
+        for start in range(0, len(block), step):
+            chunk = block[start:start + step]
+            best = [None] * len(chunk)  # per row, (least text, its image) so far
+            for first in range(0, len(maps), cut):
+                some = maps[first:first + cut]
+                # raw place j of a row lands on place some[m, j] of its image m
+                images = np.empty((len(chunk),) + some.shape, dtype=np.int64)
+                images[:, np.arange(len(some))[:, None], some] = chunk[:, None, :]
+                texts = least.compiled().render(images.reshape(len(chunk) * len(some), -1))
+                for r in range(len(chunk)):
+                    mine = texts[r * len(some):(r + 1) * len(some)]
+                    text = min(mine)
+                    if best[r] is None or text < best[r][0]:
+                        best[r] = (text, images[r, mine.index(text)].tobytes())
+            for i, (_text, image) in zip(members[start:start + step], best):
+                out[i] = (least, image)
+    return out
+
+
+def brute_force_normal(system: System, bound: int = _BOUND) -> System:
+    """``brute_force_states`` on the one state of ``system``."""
+    (state,) = brute_force_states([system._state()], bound)
+    return System.decoded(*state)
 
 
 def random_admissible_assignment(system: System, rng: random.Random) -> Assignment:

@@ -243,19 +243,24 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
     (``normalize_block``) in ``quotient`` mode or for a rule that
     normalizes; ``targets`` lists each group's net and the rows of its
     distinct targets, in the order in which ``dst`` counts them.  If
-    ``expand`` fails on some states, every group is still expanded, then
-    the error of the failing state with the least position is raised,
-    before any target is normalized.
+    ``expand`` fails on some states, the error of the failing state with
+    the least position is raised, before any target is normalized; a
+    group whose first position is past the least failure found so far is
+    not expanded.
     """
     # what gives each kind of edge its label and rate: the rules, then
     # the transition tags of each net; per step, the kind of each edge
     tags, kinds, srcs = list(rules), [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     groups: dict = {}  # (target net, normalized) -> ([edge positions], [target rows])
-    offset, failed = 0, []
+    offset, failed = 0, None  # (position, error) of the least failing state so far
     for net, (members, state_rows) in _by_net(states).items():
+        if failed and members[0] > failed[0]:
+            continue  # the groups come in order of their first position
         steps, failures = expand(net, _block(net, state_rows), rules)
         if failures:
-            failed += [(members[row], error) for row, error in failures]
+            row, error = failures[0]
+            if not failed or members[row] < failed[0]:
+                failed = (members[row], error)
             continue
         members = np.array(members, dtype=np.int64)
         base = len(tags)
@@ -271,7 +276,7 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
             parts.append(raws)
             offset += len(rows)
     if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+        raise failed[1]
     targets, count = [], 0  # (net, distinct rows) per group; the rows so far
     dst = np.empty(offset, dtype=np.int64)
     for (net, normalized), (at, parts) in groups.items():

@@ -29,7 +29,7 @@ from rwspn import (
     sibling_groups,
     system_order,
 )
-from rwspn.canon import CanonBoundError, _arrangements, normalize_block
+from rwspn.canon import CanonBoundError, _arrangements, brute_force_states, normalize_block
 from rwspn.rewrite import expand
 
 from conftest import random_marking
@@ -335,6 +335,39 @@ def test_oracle_checks_its_bound_on_every_call():
     assert (exc.value.total, exc.value.bound) == (48, 10)
     with pytest.raises(CanonBoundError):
         brute_force_normal(s, bound=47)
+    # on a block, per net: the empty net has one assignment
+    states = [System(Net())._state(), s._state()]
+    expected = [System(Net())._state(), per_state_oracle(s)._state()]
+    assert brute_force_states(states, bound=48) == expected
+    for _ in range(2):
+        with pytest.raises(CanonBoundError) as exc:
+            brute_force_states(states, bound=47)
+        assert (exc.value.total, exc.value.bound) == (48, 47)
+
+
+def _string_ordered_marking(net, rng):
+    # counts that order differently as strings and as numbers: "12" < "2", "10" < "9"
+    places = net.places()
+    chosen = rng.sample(places, rng.randint(0, len(places)))
+    return Bag({pl: rng.choice((2, 9, 10, 12)) for pl in chosen})
+
+
+@pytest.mark.parametrize("cells", [None, 1 << 11], ids=["rows", "map-slices"])
+def test_brute_force_states_matches_the_per_state_oracle(cells, monkeypatch):
+    # one interleaved list over several nets; the 130 rows of npl_net(3, 2)
+    # (48 maps x 22 places per row) take several chunks of whole rows, and
+    # at 2**11 cells each row's images take three chunks of maps
+    if cells:
+        monkeypatch.setattr("rwspn.canon._CELLS", cells)
+    rng = random.Random(61)
+    systems = [System(Net())]
+    for net, count in ((_mixed_depth_net(), 20), (_gapped_net(), 20), (_ring(6), 6),
+                       (npl_net(3, 2), 130)):
+        systems += [System(net, _string_ordered_marking(net, rng)) for _ in range(count)]
+    rng.shuffle(systems)
+    least = brute_force_states([s._state() for s in systems])
+    assert [System.decoded(*state) for state in least] == [per_state_oracle(s) for s in systems]
+    assert brute_force_states([]) == []
 
 
 def _normal_marking(canon, net, marked):

@@ -1,6 +1,6 @@
 import pytest
 
-from rwspn import cli
+from rwspn import build_npl_sys, check_strong_lumpability, cli, explore, production_rules, rewrite
 from rwspn.cli import main
 
 
@@ -64,9 +64,45 @@ def test_verify_passes(capsys):
     assert "lumped-vs-quotient: PASS" in out
 
 
+def test_explore_verify_symmetry_fails_on_a_non_minimal_state(tmp_path, capsys, monkeypatch):
+    # successors left raw: the oracle finds a state that is not its normal form
+    monkeypatch.setattr(rewrite, "normalize_block", lambda net, block: (net, block))
+    out = tmp_path / "vf"
+    assert main(["explore", "--n", "1", "--verify-symmetry", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-minimal normal form: ")
+    assert not out.exists()
+
+
+def test_verify_oracle_fails_on_a_moved_state(capsys, monkeypatch):
+    # the normal form of the last quotient state is reported as the first state
+    def moved(states):
+        out = normalize_states(states)
+        out[-1] = out[0]
+        return out
+
+    normalize_states = cli.normalize_states
+    monkeypatch.setattr(cli, "normalize_states", moved)
+    assert main(["verify", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "normalize-oracle: FAIL (42 states)" in captured.out
+    quotient = explore(build_npl_sys(1, 2, 2), production_rules(), mode="quotient")
+    assert f"  counterexample: {quotient.states[41].canonical()}\n" in captured.err
+
+
 def test_verify_perturbed_fails(capsys):
     assert main(["verify", "--n", "1", "--perturb"]) != 0
-    assert "strong-lumpability: FAIL" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "strong-lumpability: FAIL" in captured.out
+    system = build_npl_sys(1, 2, 2)
+    quotient = explore(system, production_rules(), mode="quotient")
+    ordinary = explore(system, production_rules(), mode="ordinary")
+    partition = cli.quotient_partition(ordinary, quotient)
+    gen = cli._perturbed(cli.build_generator(ordinary), partition)
+    ok, detail = check_strong_lumpability(gen, partition, tol=1e-9)
+    assert not ok
+    assert captured.err == f"  counterexample: {detail}\n"
 
 
 def test_solve_writes_measures(tmp_path, capsys):

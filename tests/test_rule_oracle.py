@@ -35,7 +35,8 @@ from rwspn import (
     subnet_by_pair,
 )
 
-from rwspn.rewrite import _successors
+from rwspn import rewrite
+from rwspn.rewrite import _successors, expand
 
 from conftest import ordinary_ts, quotient_ts
 
@@ -169,6 +170,26 @@ def test_successors_raises_for_the_least_failing_position_over_all_nets():
             _successors([x._state() for x in states], (keep_rule(only_s),), quotient)
         # u is place 0 of the second net; t is place 1 of the first
         assert str(err.value) == "result marks a place absent from the target net (source place 0)"
+
+
+@pytest.mark.parametrize("mode", ["quotient", "ordinary"])
+def test_explore_expands_no_net_group_past_the_first_failure(mode, monkeypatch):
+    # level 1 holds (a, 1 . t), which fails the rule (the target net has no
+    # place t), and then (b, 1 . s): a's net renders first, since "t" < "u"
+    s, t, u = (place((tag, 0)) for tag in "stu")
+    net_a = Net((Transition(Bag({s: 1}), Bag({t: 1}), Bag(), TransitionTag("a")),))
+    net_b = Net((Transition(Bag({s: 1}), Bag({u: 1}), Bag(), TransitionTag("b")),))
+    calls = []
+
+    def counted(net, block, rules):
+        calls.append(net)
+        return expand(net, block, rules)
+
+    monkeypatch.setattr(rewrite, "expand", counted)
+    with pytest.raises(ValueError) as err:
+        explore(System(net_a, Bag({s: 1})), (keep_rule(net_b),), mode=mode)
+    assert str(err.value) == "result marks a place absent from the target net (source place 1)"
+    assert calls == [net_a, net_a]  # level 0, then level 1's failing group alone
 
 
 @pytest.mark.parametrize("mode", ["quotient", "ordinary"])
