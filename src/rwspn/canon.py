@@ -120,78 +120,62 @@ class _NetForm(NamedTuple):
     ranks: np.ndarray
 
 
-def _swap_fixes(net: Net, key: GroupKey, i: int, k: int) -> bool:
-    swap = {j: j for j in range(k)} | {i: i + 1, i + 1: i}
+def _swap_fixes(net: Net, key: GroupKey, ix: tuple, i: int) -> bool:
+    swap = dict(zip(ix, ix)) | {ix[i]: ix[i + 1], ix[i + 1]: ix[i]}
     return apply_assignment(System(net), {key: swap}).net is net
+
+
+def _place_map(net: Net, image: Net, assignment: Assignment) -> tuple:
+    """The index among ``image``'s compiled places of each of the net's
+    places renamed by ``assignment``."""
+    index = image.compiled().index
+    return tuple(index[_rewrite_place(pl, assignment)] for pl in net.places())
 
 
 def _net_form(net: Net) -> _NetForm:
     """Canonical net and marking candidates of a raw net, computed once
     and kept in ``net._cache``, so that the form is freed with the net.
 
-    The net is densified first: each group whose indices are not 0..k-1
-    is renamed onto them, so a dense net is kept as it is.  If every adjacent transposition of every
-    sibling group fixes the dense net, those transpositions generate the
-    admissible group, so the dense net is every assignment's image; the
-    candidates are then the arrangements of the groups that the column sort
-    cannot order.  Otherwise every assignment is tried and those reaching
-    the minimal net rendering are kept.
+    If every adjacent swap of every sibling group's indices fixes the net,
+    those swaps generate the admissible group, so every assignment's image
+    is the dense net; the candidates then map each column-sorted group onto
+    0..k-1 in index order and arrange the other groups every way.  A net
+    that some swap does not fix takes the oracle's table: the least image
+    net and the place maps that reach it.
     """
     form = net._cache.get(_NetForm)
     if form is not None:
         return form
-    densify = {key: dict(zip(ix, range(len(ix))))
-               for key, ix in sibling_groups(net) if ix != tuple(range(len(ix)))}
-    dense = apply_assignment(System(net), densify).net
-    groups = [(key, ix) for key, ix in sibling_groups(dense) if len(ix) > 1]
-    symmetric = all(
-        _swap_fixes(dense, key, i, len(ix)) for key, ix in groups for i in range(len(ix) - 1)
-    )
-    # a top-level group whose tag never occurs further in has contiguous
-    # rows in the rendering: one per inner label, one cell per index
-    inner = {tag for pl in dense.places() for tag, _ in pl.pairs[:-1]}
-    sortable = frozenset(
-        tag for (suffix, tag), _ in groups if symmetric and not suffix and tag not in inner
-    )
-    rest = [(key, ix) for key, ix in groups if key[0] or key[1] not in sortable]
-    if symmetric:
-        best, kept = dense, list(_arrangements(rest))
+    groups = sibling_groups(net)
+    if all(_swap_fixes(net, key, ix, i) for key, ix in groups for i in range(len(ix) - 1)):
+        # a top-level group whose tag never occurs further in has contiguous
+        # rows in the rendering: one per inner label, one cell per index
+        inner = {tag for pl in net.places() for tag, _ in pl.pairs[:-1]}
+        in_order = {key: dict(zip(ix, range(len(ix)))) for key, ix in groups
+                    if len(ix) > 1 and not key[0] and key[1] not in inner}
+        rest = [(key, ix) for key, ix in groups if key not in in_order]
+        candidates = [a | in_order for a in _arrangements(rest)]
+        best = apply_assignment(System(net), candidates[0]).net
+        maps = dict.fromkeys(_place_map(net, best, a) for a in candidates)
+        maps = np.array(list(maps), dtype=np.intp).reshape(len(maps), len(net.places()))
     else:
-        best, kept = None, []
-        for assignment in _arrangements(rest):
-            image = apply_assignment(System(dense), assignment).net
-            if best is None or image.render() < best.render():
-                best, kept = image, []
-            if image is best:
-                kept.append(assignment)
+        in_order = {}
+        table = net._cache.get(_Images) or _images(net, _arrangements(groups))
+        best, maps = table.net or net, table.maps
     places = best.compiled().places
-    index = best.compiled().index
-    perms = []
-    for a in kept:
-        perm = [0] * len(index)
-        for i, pl in enumerate(net.places()):
-            perm[index[_rewrite_place(_rewrite_place(pl, densify), a)]] = i
-        perms.append(tuple(perm))
-    perms = list(dict.fromkeys(perms))
-    # rows of a sorted group in place order, so they rank in rendering order
-    rows: dict = {}
-    for pl in places:
-        tag, i = pl.pairs[-1]
-        if tag in sortable:
-            rows.setdefault(tag, {}).setdefault(pl.pairs[:-1], {})[i] = index[pl]
-    columns = []
-    for by_row in rows.values():  # symmetric, so every row has every index
-        k = len(next(iter(by_row.values())))
-        columns.append(np.array([[cells[i] for cells in by_row.values()] for i in range(k)],
-                                dtype=np.intp))
+    # row c of perms inverts map c: the raw place that lands on each place
+    perms = np.empty_like(maps)
+    perms[np.arange(len(maps))[:, None], maps] = np.arange(len(places))
+    # a sorted group's places, one row after another in place order, each
+    # row one cell per index
+    columns = tuple(
+        np.array([j for j, pl in enumerate(places) if pl.pairs[-1][0] == tag],
+                 dtype=np.intp).reshape(-1, len(order)).T
+        for (_suffix, tag), order in in_order.items()
+    )
     ranks = np.empty(len(places), dtype=np.int64)
     ranks[sorted(range(len(places)), key=lambda j: str(places[j]))] = np.arange(len(places))
-    form = net._cache[_NetForm] = _NetForm(
-        None if best is net else best,
-        np.array(perms, dtype=np.intp).reshape(len(perms), len(places)),
-        tuple(columns),
-        ranks,
-    )
+    form = net._cache[_NetForm] = _NetForm(None if best is net else best, perms, columns, ranks)
     return form
 
 
@@ -301,8 +285,9 @@ def normalize_marking(net: Net, marking: Bag) -> Bag:
 
 def apply_assignment(system: System, assignment: Assignment) -> System:
     """Relabel every place through per-group index maps (wreath semantics:
-    lookups use each label's original suffix)."""
-    if not assignment:
+    lookups use each label's original suffix); an assignment that maps
+    every index to itself returns the system itself."""
+    if all(i == j for mapping in assignment.values() for i, j in mapping.items()):
         return system
     memo: dict = {}
     marking = _rewrite_bag(system.marking, memo, assignment)
@@ -332,18 +317,16 @@ def _images(net: Net, assignments) -> _Images:
     """Every assignment's image of the net, reduced to the least one and
     the place maps that reach it; kept in ``net._cache``, so that the
     table is freed with the net."""
-    best, kept = None, []
+    best, maps = None, {}
     for assignment in assignments:
         image = apply_assignment(System(net), assignment).net
         if best is None or image.render() < best.render():
-            best, kept = image, []
+            best, maps = image, {}
         if image is best:
-            kept.append(assignment)
-    index = best.compiled().index
-    maps = dict.fromkeys(tuple(index[_rewrite_place(pl, a)] for pl in net.places()) for a in kept)
+            maps[_place_map(net, best, assignment)] = None
     table = net._cache[_Images] = _Images(
         None if best is net else best,
-        np.array(list(maps), dtype=np.intp).reshape(len(maps), len(index)),
+        np.array(list(maps), dtype=np.intp).reshape(len(maps), len(net.places())),
     )
     return table
 

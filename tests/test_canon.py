@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,7 +30,15 @@ from rwspn import (
     sibling_groups,
     system_order,
 )
-from rwspn.canon import CanonBoundError, _arrangements, brute_force_states, normalize_block
+from rwspn.canon import (
+    CanonBoundError,
+    _arrangements,
+    _Images,
+    _NetForm,
+    brute_force_states,
+    normalize_block,
+    normalize_states,
+)
 from rwspn.rewrite import expand
 
 from conftest import random_marking
@@ -236,18 +245,29 @@ def test_net_pool_frees_candidate_images():
     assert live_nets() - before <= 2
 
 
-@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("normalized", [False, True, "ring3"])
 def test_normal_form_is_freed_with_its_net(normalized):
     # the form is kept on the net, so normalizing does not pin the net;
-    # the rate tells the two cases' nets apart, which are interned otherwise
+    # the rate tells the cases' nets apart, which are interned otherwise.
+    # No swap fixes a ring of 3, so it keeps the oracle's table next to its
+    # form; neither refers back to the net, so no collector is needed
     x0, x1 = place(("X", 0)), place(("X", 1))
-    net = Net([_move(x0, x1, rate=2.0 + normalized), _move(x1, x0, rate=2.0 + normalized)])
+    if normalized == "ring3":
+        net = Net(_move(place(("X", i)), place(("X", (i + 1) % 3)), rate=3.5) for i in range(3))
+    else:
+        net = Net([_move(x0, x1, rate=2.0 + normalized), _move(x1, x0, rate=2.0 + normalized)])
     if normalized:
-        assert normalize(System(net, Bag({x1: 1}))).marking == Bag({x0: 1})
+        assert _normal_marking(normalize, net, x1) == Bag({x0: 1})
+    if normalized == "ring3":
+        assert {_Images, _NetForm} <= net._cache.keys()
     alive = weakref.ref(net)
-    del net
     gc.collect()
-    assert alive() is None
+    gc.disable()
+    try:
+        del net
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_mixed_depth_matches_brute_force():
@@ -368,6 +388,53 @@ def test_brute_force_states_matches_the_per_state_oracle(cells, monkeypatch):
     least = brute_force_states([s._state() for s in systems])
     assert [System.decoded(*state) for state in least] == [per_state_oracle(s) for s in systems]
     assert brute_force_states([]) == []
+
+
+def _rated_gapped_net():
+    # siblings 0, 2, 3 and 5 of "X"; sibling 3 has its own rate, so no swap
+    # of it fixes the net, and the other three arrange every way
+    return Net(
+        _move(place(("a", 0), ("X", i)), place(("b", 0), ("X", i)), rate=1 + (i == 3))
+        for i in (0, 2, 3, 5)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, unfixed, count",
+    [(lambda: _ring(3), True, 30), (lambda: _ring(6), True, 8), (_mixed_depth_net, False, 30),
+     (_rated_gapped_net, True, 30)],
+    ids=["ring3", "ring6", "mixed-depth", "rated-gapped"],
+)
+def test_normalize_states_matches_the_per_state_oracle(make, unfixed, count):
+    # a net that some swap does not fix takes the oracle's table, so
+    # normalize == brute_force_normal does not check its net choice on its
+    # own; the per-state oracle builds no table. The mixed-depth net is
+    # fixed by every swap, but its outer group is not column-sorted
+    net = make()
+    rng = random.Random(67)
+    systems = [System(net, _string_ordered_marking(net, rng)) for _ in range(count)]
+    normal = normalize_states([s._state() for s in systems])
+    if unfixed:
+        assert _Images in net._cache
+    assert [System.decoded(*state) for state in normal] == [per_state_oracle(s) for s in systems]
+
+
+def test_oracle_table_keeps_no_assignment():
+    # the 384 admissible assignments of npl_net(4, 2) all reach the net
+    # itself; the table keeps their place maps, not the assignments
+    gc.collect()
+    net = npl_net(4, 2)
+    assert _Images not in net._cache
+    places = net.places()
+    state = System(net, Bag({places[0]: 2, places[5]: 1}))._state()
+    tracemalloc.start()
+    try:
+        brute_force_states([state])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net._cache[_Images].maps.shape == (384, len(places))
+    assert peak < 1.5 * 2**20
 
 
 def _normal_marking(canon, net, marked):
