@@ -136,31 +136,35 @@ def _net_form(net: Net) -> _NetForm:
     """Canonical net and marking candidates of a raw net, computed once
     and kept in ``net._cache``, so that the form is freed with the net.
 
-    If every adjacent swap of every sibling group's indices fixes the net,
-    those swaps generate the admissible group, so every assignment's image
-    is the dense net; the candidates then map each column-sorted group onto
-    0..k-1 in index order and arrange the other groups every way.  A net
-    that some swap does not fix takes the oracle's table: the least image
-    net and the place maps that reach it.
+    The dense net renames each group's indices onto 0..k-1 in index order.
+    If every adjacent swap of every sibling group's indices fixes it, those
+    swaps generate the admissible group, so every assignment's image is the
+    dense net; the candidates then map each column-sorted group onto 0..k-1
+    in index order and arrange the other groups every way.  The raw net may
+    be fixed by fewer swaps: densifying renames each inner group by its own
+    index set.  A net whose dense form some swap does not fix takes the
+    oracle's table: the least image net and the place maps that reach it.
     """
     form = net._cache.get(_NetForm)
     if form is not None:
         return form
     groups = sibling_groups(net)
-    if all(_swap_fixes(net, key, ix, i) for key, ix in groups for i in range(len(ix) - 1)):
+    densify = {key: dict(zip(ix, range(len(ix)))) for key, ix in groups}
+    dense = apply_assignment(System(net), densify).net
+    if all(_swap_fixes(dense, key, ix, i) for key, ix in sibling_groups(dense)
+           for i in range(len(ix) - 1)):
         # a top-level group whose tag never occurs further in has contiguous
         # rows in the rendering: one per inner label, one cell per index
         inner = {tag for pl in net.places() for tag, _ in pl.pairs[:-1]}
-        in_order = {key: dict(zip(ix, range(len(ix)))) for key, ix in groups
+        in_order = {key: densify[key] for key, ix in groups
                     if len(ix) > 1 and not key[0] and key[1] not in inner}
         rest = [(key, ix) for key, ix in groups if key not in in_order]
-        candidates = [a | in_order for a in _arrangements(rest)]
-        best = apply_assignment(System(net), candidates[0]).net
-        maps = dict.fromkeys(_place_map(net, best, a) for a in candidates)
+        best = dense  # every candidate's image
+        maps = dict.fromkeys(_place_map(net, best, a | in_order) for a in _arrangements(rest))
         maps = np.array(list(maps), dtype=np.intp).reshape(len(maps), len(net.places()))
     else:
-        in_order = {}
-        table = net._cache.get(_Images) or _images(net, _arrangements(groups))
+        in_order, assignments = {}, _arrangements(groups)  # checks the bound
+        table = net._cache.get(_Images) or _images(net, assignments)
         best, maps = table.net or net, table.maps
     places = best.compiled().places
     # row c of perms inverts map c: the raw place that lands on each place

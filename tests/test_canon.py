@@ -34,6 +34,7 @@ from rwspn.canon import (
     CanonBoundError,
     _arrangements,
     _Images,
+    _net_form,
     _NetForm,
     brute_force_states,
     normalize_block,
@@ -365,6 +366,17 @@ def test_oracle_checks_its_bound_on_every_call():
         assert (exc.value.total, exc.value.bound) == (48, 47)
 
 
+def test_normalize_checks_its_bound_over_the_oracle_table(monkeypatch):
+    # no swap fixes a ring of 3 (3! assignments), so normalize reads the
+    # oracle's table; a table built first does not lift normalize's bound
+    s = System(_ring(3), Bag())
+    assert brute_force_normal(s) == per_state_oracle(s)  # builds the net's table
+    monkeypatch.setattr(_arrangements, "__defaults__", (5,))
+    with pytest.raises(CanonBoundError) as exc:
+        normalize(s)
+    assert (exc.value.total, exc.value.bound) == (6, 5)
+
+
 def _string_ordered_marking(net, rng):
     # counts that order differently as strings and as numbers: "12" < "2", "10" < "9"
     places = net.places()
@@ -399,11 +411,20 @@ def _rated_gapped_net():
     )
 
 
+def _gapped_inner_net(k):
+    # sibling j of "X" holds "a" siblings 0 and j + 1: densified, every
+    # swap fixes the net, but no swap of two "X" siblings fixes it raw
+    return Net(
+        _move(place(("a", i), ("X", j)), place(("b", 0), ("X", j)))
+        for j in range(k) for i in (0, j + 1)
+    )
+
+
 @pytest.mark.parametrize(
     "make, unfixed, count",
     [(lambda: _ring(3), True, 30), (lambda: _ring(6), True, 8), (_mixed_depth_net, False, 30),
-     (_rated_gapped_net, True, 30)],
-    ids=["ring3", "ring6", "mixed-depth", "rated-gapped"],
+     (_rated_gapped_net, True, 30), (lambda: _gapped_inner_net(3), False, 30)],
+    ids=["ring3", "ring6", "mixed-depth", "rated-gapped", "gapped-inner"],
 )
 def test_normalize_states_matches_the_per_state_oracle(make, unfixed, count):
     # a net that some swap does not fix takes the oracle's table, so
@@ -414,9 +435,23 @@ def test_normalize_states_matches_the_per_state_oracle(make, unfixed, count):
     rng = random.Random(67)
     systems = [System(net, _string_ordered_marking(net, rng)) for _ in range(count)]
     normal = normalize_states([s._state() for s in systems])
-    if unfixed:
-        assert _Images in net._cache
+    assert (_Images in net._cache) == unfixed
     assert [System.decoded(*state) for state in normal] == [per_state_oracle(s) for s in systems]
+
+
+def test_gapped_inner_groups_take_the_column_sort():
+    # the swap test runs on the dense net, so its 8! arrangements of "X"
+    # are column-sorted, not tried: 2**8 candidates, where trying every
+    # assignment would exceed the bound (8! * 2**8 > 10**6)
+    net = _gapped_inner_net(8)
+    rng = random.Random(71)
+    s = System(net, _string_ordered_marking(net, rng))
+    base = normalize(s)
+    assert _Images not in net._cache
+    assert len(_net_form(net).perms) == 2**8
+    for _ in range(5):
+        phi = random_admissible_assignment(s, rng)
+        assert normalize(apply_assignment(s, phi)) == base
 
 
 def test_oracle_table_keeps_no_assignment():
