@@ -136,14 +136,16 @@ def _net_form(net: Net) -> _NetForm:
     """Canonical net and marking candidates of a raw net, computed once
     and kept in ``net._cache``, so that the form is freed with the net.
 
-    The dense net renames each group's indices onto 0..k-1 in index order.
-    If every adjacent swap of every sibling group's indices fixes it, those
-    swaps generate the admissible group, so every assignment's image is the
-    dense net; the candidates then map each column-sorted group onto 0..k-1
-    in index order and arrange the other groups every way.  The raw net may
-    be fixed by fewer swaps: densifying renames each inner group by its own
-    index set.  A net whose dense form some swap does not fix takes the
-    oracle's table: the least image net and the place maps that reach it.
+    Symmetry is decided once per dense net, whose groups each span 0..k-1;
+    any other net gathers its dense net's form (each group renamed onto
+    0..k-1 in index order): each candidate reads the raw place that
+    densifies onto each dense place.  The swap test needs a dense net, as
+    densifying renames each inner group by its own index set, so a raw net
+    may be fixed by fewer swaps.  If every adjacent swap of every group
+    fixes a dense net, they generate the admissible group, so every
+    assignment's image is the net; the candidates keep each column-sorted
+    group in index order and arrange the others every way.  Otherwise the
+    net takes the oracle's table: the least image and the maps reaching it.
     """
     form = net._cache.get(_NetForm)
     if form is not None:
@@ -151,22 +153,25 @@ def _net_form(net: Net) -> _NetForm:
     groups = sibling_groups(net)
     densify = {key: dict(zip(ix, range(len(ix)))) for key, ix in groups}
     dense = apply_assignment(System(net), densify).net
-    if all(_swap_fixes(dense, key, ix, i) for key, ix in sibling_groups(dense)
-           for i in range(len(ix) - 1)):
+    if dense is not net:
+        form = _net_form(dense)
+        raw = np.empty(len(net.places()), dtype=np.intp)  # dense place -> raw place
+        raw[list(_place_map(net, dense, densify))] = np.arange(len(raw))
+        form = net._cache[_NetForm] = form._replace(net=form.net or dense, perms=raw[form.perms])
+        return form
+    if all(_swap_fixes(net, key, ix, i) for key, ix in groups for i in range(len(ix) - 1)):
         # a top-level group whose tag never occurs further in has contiguous
         # rows in the rendering: one per inner label, one cell per index
         inner = {tag for pl in net.places() for tag, _ in pl.pairs[:-1]}
-        in_order = {key: densify[key] for key, ix in groups
+        in_order = {key: len(ix) for key, ix in groups
                     if len(ix) > 1 and not key[0] and key[1] not in inner}
         rest = [(key, ix) for key, ix in groups if key not in in_order]
-        best = dense  # every candidate's image
-        maps = dict.fromkeys(_place_map(net, best, a | in_order) for a in _arrangements(rest))
+        image, maps = None, dict.fromkeys(_place_map(net, net, a) for a in _arrangements(rest))
         maps = np.array(list(maps), dtype=np.intp).reshape(len(maps), len(net.places()))
     else:
         in_order, assignments = {}, _arrangements(groups)  # checks the bound
-        table = net._cache.get(_Images) or _images(net, assignments)
-        best, maps = table.net or net, table.maps
-    places = best.compiled().places
+        image, maps = net._cache.get(_Images) or _images(net, assignments)
+    places = (image or net).compiled().places
     # row c of perms inverts map c: the raw place that lands on each place
     perms = np.empty_like(maps)
     perms[np.arange(len(maps))[:, None], maps] = np.arange(len(places))
@@ -174,12 +179,12 @@ def _net_form(net: Net) -> _NetForm:
     # row one cell per index
     columns = tuple(
         np.array([j for j, pl in enumerate(places) if pl.pairs[-1][0] == tag],
-                 dtype=np.intp).reshape(-1, len(order)).T
-        for (_suffix, tag), order in in_order.items()
+                 dtype=np.intp).reshape(-1, k).T
+        for (_suffix, tag), k in in_order.items()
     )
     ranks = np.empty(len(places), dtype=np.int64)
     ranks[sorted(range(len(places)), key=lambda j: str(places[j]))] = np.arange(len(places))
-    form = net._cache[_NetForm] = _NetForm(None if best is net else best, perms, columns, ranks)
+    form = net._cache[_NetForm] = _NetForm(image, perms, columns, ranks)
     return form
 
 

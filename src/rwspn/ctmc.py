@@ -7,7 +7,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, islice
+from itertools import cycle
 from typing import Sequence
 
 import numpy as np
@@ -377,28 +377,23 @@ def transient(
         (half, (b * n, 2 * b * n, indptr[h * b * n:], indices, data, v, half), half.reshape(b, n))
         for h, half in enumerate((v[:b * n], v[b * n:]))
     ])
-    # the window's terms w[k] · (step k), added into ``acc`` one step at a time
+    # call j runs steps j·b + 1 .. (j + 1)·b; those before j0, which runs
+    # step ``left``, only run the kernel.  w, window-sized, weights steps
+    # j0·b .. m·b (w[0] is step 0's weight or 0); terms add one at a time
+    j0, m = max(0, left - 1) // b, -(-right // b)
+    w = np.zeros((m - j0) * b + 1)
+    w[left - j0 * b:right - j0 * b + 1] = weights
+    steps = w[1:].reshape(-1, b, 1)
     acc, terms = np.zeros(n), np.empty((b, n))
     rows = list(terms)
-    if left == 0:
-        np.multiply(pi, weights[0], out=rows[0])
-        np.add(acc, rows[0], out=acc)
-    # the calls wholly below left run steps 1 .. k; the rest run k + 1 ..
-    # k + m·b, weighted 0 outside left..right
-    k = max(0, left - 1) // b * b
-    m = -(-right // b) - k // b
-    first = max(1, left)
-    w = np.zeros(m * b)
-    w[first - k - 1:right - k] = weights[first - left:]
-    for half, call, _ in islice(calls, k // b):
+    acc += pi * w[0]
+    for j, (half, call, block) in zip(range(m), calls):
         half.fill(0.0)
         csr_matvec(*call)
-    for wj, (half, call, block) in zip(w.reshape(m, b, 1), calls):
-        half.fill(0.0)
-        csr_matvec(*call)
-        np.multiply(block, wj, out=terms)
-        for row in rows:
-            np.add(acc, row, out=acc)
+        if j >= j0:
+            np.multiply(block, steps[j - j0], out=terms)
+            for row in rows:
+                np.add(acc, row, out=acc)
     raw_mass = float(acc.sum())
     if details is not None:
         details.update(raw_mass=raw_mass, terms=right + 1, left=left)

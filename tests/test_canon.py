@@ -1,11 +1,16 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rwspn
 from rwspn import (
     Bag,
     Net,
@@ -434,9 +439,76 @@ def test_normalize_states_matches_the_per_state_oracle(make, unfixed, count):
     net = make()
     rng = random.Random(67)
     systems = [System(net, _string_ordered_marking(net, rng)) for _ in range(count)]
+    # the table sits on the dense net, which the raw net's form need not
+    # keep alive; a raw net that is not dense builds none
+    dense = _dense(net)
     normal = normalize_states([s._state() for s in systems])
-    assert (_Images in net._cache) == unfixed
+    assert (_Images in dense._cache) == unfixed
+    assert dense is net or _Images not in net._cache
     assert [System.decoded(*state) for state in normal] == [per_state_oracle(s) for s in systems]
+
+
+def _densify(net):
+    # each sibling group renamed onto 0..k-1 in index order
+    return {key: dict(zip(ix, range(len(ix)))) for key, ix in sibling_groups(net)}
+
+
+def _dense(net):
+    return apply_assignment(System(net), _densify(net)).net
+
+
+def test_raw_form_is_its_dense_form_gathered():
+    # a raw net decides no symmetry of its own: its form is its dense net's,
+    # each candidate read through the raw place that densifies onto each
+    # dense place; each gapped net also with its indices shuffled, which
+    # makes densifying reorder the places of the gapped inner net
+    rng = random.Random(73)
+    nets = []
+    for net in (_gapped_net(), _rated_gapped_net(), _gapped_inner_net(3)):
+        shuffled = apply_assignment(System(net), random_admissible_assignment(System(net), rng))
+        nets += [net, shuffled.net]
+    _ts, raws = _raw_targets(3)
+    rule_targets = [net for net in raws if _dense(net) is not net]
+    assert len(rule_targets) >= 5
+    reordered = 0
+    for net in nets + sorted(rule_targets, key=Net.render):
+        dense = _dense(net)
+        assert dense is not net
+        raw, form = _net_form(net), _net_form(dense)
+        assert raw.net is (form.net or dense)
+        assert np.array_equal(raw.ranks, form.ranks)
+        assert [c.tolist() for c in raw.columns] == [c.tolist() for c in form.columns]
+        gather = np.empty(len(net.places()), dtype=np.intp)
+        for j, pl in enumerate(net.compiled().places):
+            (image,) = apply_assignment(System(net, Bag({pl: 1})), _densify(net)).marking
+            gather[dense.compiled().index[image]] = j
+        assert np.array_equal(gather[form.perms], raw.perms)
+        reordered += not np.array_equal(gather, np.arange(len(gather)))
+    assert reordered
+
+
+def test_symmetry_is_derived_once_per_dense_net():
+    # every swap test of quotient N=4 runs on a dense net, and no swap of
+    # any net runs twice, however many raw nets densify onto it; in a
+    # process of its own, as nets that other tests keep alive hold their forms
+    src = str(Path(rwspn.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import collections\n"
+        "from rwspn import build_npl_sys, canon, explore, production_rules\n"
+        "calls, dense, swap_fixes = collections.Counter(), set(), canon._swap_fixes\n"
+        "def counted(net, key, ix, i):\n"
+        "    calls[net.render(), key, i] += 1\n"
+        "    dense.add(all(ix == tuple(range(len(ix))) for _, ix in canon.sibling_groups(net)))\n"
+        "    return swap_fixes(net, key, ix, i)\n"
+        "canon._swap_fixes = counted\n"
+        "explore(build_npl_sys(4, 2, 2), production_rules(), mode='quotient')\n"
+        "print(dense, max(calls.values()), sum(calls.values()), len({t for t, _, _ in calls}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split() == ["{True}", "1", "40", "13"]
 
 
 def test_gapped_inner_groups_take_the_column_sort():
@@ -603,10 +675,9 @@ def test_block_on_the_empty_net():
     assert normal.shape == (3, 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_block_equals_one_row_calls_on_every_raw_target(n):
-    # every raw target of the quotient state space, normalized per target
-    # net as one block (several chunks for the larger nets) and row by row
+def _raw_targets(n):
+    # the quotient state space, and the raw rows that firings and rules
+    # reach from it, per target net
     ts = explore(build_npl_sys(n, 2, 2), production_rules(), mode="quotient")
     by_net: dict = {}
     for net, row in ts._cells:
@@ -617,6 +688,14 @@ def test_block_equals_one_row_calls_on_every_raw_target(n):
         assert not failures
         for _rows, target, found, _rule, _how in steps:
             raws.setdefault(target, []).append(found)
+    return ts, raws
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_equals_one_row_calls_on_every_raw_target(n):
+    # every raw target of the quotient state space, normalized per target
+    # net as one block (several chunks for the larger nets) and row by row
+    ts, raws = _raw_targets(n)
     total = 0
     for target, parts in raws.items():
         block = np.concatenate(parts)
