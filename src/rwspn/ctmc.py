@@ -4,18 +4,49 @@ uniformization, and the throughput/reliability measures."""
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from itertools import cycle
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from .canon import _runs
 from .statespace import TransitionSystem, _write_lines
+
+
+def _load_csr_matvec():
+    """scipy's compiled CSR mat-vec, loaded from the file of its extension
+    module ``scipy.sparse._sparsetools``, since importing that module runs
+    ``scipy.sparse`` first, which no command needs.  ``find_spec`` finds
+    scipy's folder without importing it.  The plain import is the fallback
+    when the file is not there or the module is already imported."""
+    name = "scipy.sparse._sparsetools"
+    scipy = None if name in sys.modules else find_spec("scipy")
+    for folder in scipy and scipy.submodule_search_locations or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(name, path)
+                module = module_from_spec(spec_from_loader(name, loader))
+                loader.exec_module(module)
+                # left in sys.modules, the module would not be bound on the
+                # package by a later import of scipy.sparse, which now makes
+                # its own, with these same functions
+                sys.modules.pop(name, None)
+                return module.csr_matvec
+    from scipy.sparse._sparsetools import csr_matvec
+
+    return csr_matvec
+
+
+csr_matvec = _load_csr_matvec()
 
 
 def _fmt(x: float) -> str:
@@ -37,7 +68,8 @@ class TransientBudgetError(RuntimeError):
 class Generator:
     """Sparse CTMC infinitesimal generator.
 
-    Off-diagonal entries are nonnegative rates; every diagonal entry is the
+    Off-diagonal entries are nonnegative rates, held as the CSR arrays
+    ``indptr``, ``indices`` and ``data``; every diagonal entry is the
     negated row sum, so rows sum to zero exactly.
     """
 
@@ -68,21 +100,40 @@ class Generator:
             raise ValueError("non-finite off-diagonal rate")
         if np.any(data < 0):
             raise ValueError("negative off-diagonal rate")
-        self.n = n
-        # canonical CSR: row-major, sorted indices, no duplicates (pairs are unique)
+        # canonical CSR: row-major, sorted indices, no duplicates
         order = np.lexsort((cols, rows))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        self.offdiag = sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
-        self.diagonal = -np.asarray(self.offdiag.sum(axis=1)).ravel()
+        rows, cols = rows[order], cols[order]
+        twice = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        if len(twice):
+            raise ValueError(f"entry {(int(rows[twice[0]]), int(cols[twice[0]]))} given twice")
+        self.n, self.indptr = n, np.searchsorted(rows, np.arange(n + 1))
+        self.indices, self.data = cols, data[order]
+        # each row summed as scipy's row sum does: its first rate plus the
+        # pairwise sum of the rest, which can differ in the last bit from
+        # one sum in column order from 0.0
+        busy = np.flatnonzero(np.diff(self.indptr))
+        self.diagonal = np.full(n, -0.0)
+        self.diagonal[busy] = -np.add.reduceat(self.data, self.indptr[busy])
         self._live = self.diagonal != 0  # states with a nonzero exit rate
         self._uniformized = None
 
+    def _rows(self) -> np.ndarray:
+        """The row of each off-diagonal entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """Q with its diagonal, as CSR; built on first read (``transient``
-        reads it, the exports and the lumping checks do not)."""
-        return (self.offdiag + sp.diags(self.diagonal)).tocsr()
+    def offdiag(self):
+        """The off-diagonal part as scipy CSR, built on first read; no command reads it."""
+        from scipy.sparse import csr_matrix
+
+        return csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    @cached_property
+    def matrix(self):
+        """Q with its diagonal as scipy CSR, built on first read; no command reads it."""
+        from scipy.sparse import diags
+
+        return (self.offdiag + diags(self.diagonal)).tocsr()
 
     @property
     def max_exit_rate(self) -> float:
@@ -90,21 +141,18 @@ class Generator:
 
     def entries(self):
         """Off-diagonal entries as sorted (i, j, rate) triples."""
-        m = self.offdiag
-        rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
-        return tuple(zip(rows.tolist(), m.indices.tolist(), m.data.tolist()))
+        return tuple(zip(self._rows().tolist(), self.indices.tolist(), self.data.tolist()))
 
     def write_coo(self, path) -> None:
-        m = self.offdiag
-        rows = np.repeat(np.arange(self.n), np.diff(m.indptr))
         # one repr per distinct rate, numbered by bit pattern since 0.0 == -0.0;
         # the stable sort is the kernel that ``np.lexsort`` has loaded, where
         # the default one loads another (0.2 MB more peak RSS on ``solve``)
-        bits = m.data.view(np.int64)
+        bits = self.data.view(np.int64)
         rate, first = _runs(np.argsort(bits, kind="stable"), bits)
         with open(path, "w") as fh:
             fh.write(f"{self.n}\n")
-            _write_lines(fh, [f" {r!r}\n" for r in m.data[first].tolist()], rows, m.indices, rate)
+            _write_lines(fh, [f" {r!r}\n" for r in self.data[first].tolist()],
+                         self._rows(), self.indices, rate)
 
 
 def _edge_rates(ts: TransitionSystem) -> np.ndarray:
@@ -127,16 +175,33 @@ def build_generator(ts: TransitionSystem) -> Generator:
     return Generator._from_arrays(len(ts), src, dst, data)
 
 
+def _sum_runs(key: np.ndarray, weights: np.ndarray) -> tuple:
+    """The distinct values of ``key``, ascending, and the sum of each one's
+    ``weights``, added in array order from 0.0 (float64, even when empty)."""
+    run, first = _runs(np.argsort(key, kind="stable"), key)
+    return key[first], np.bincount(run, weights=weights, minlength=len(first)).astype(np.float64)
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple:
+    """The positions, in CSR arrays with ``indptr``, of the entries of each
+    of ``rows`` in turn, and each row's count of entries."""
+    start, count = indptr[rows], indptr[rows + 1] - indptr[rows]
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum()), count
+
+
 def _class_flows(gen: Generator, partition: Sequence[int], tol: float):
     """F = Q·V for the 0/1 state-to-class matrix V of ``partition``, and
     the first breach of strong lumpability in it.
 
     Row i of F is the rate from state i into each class; the diagonal of Q
-    never enters it.  The partition is strongly lumpable iff every row is
-    within ``tol`` of the row of its class's first state.  Returns
+    never enters it.  Each entry of F sums its rates in column order from
+    0.0, and sums that come out 0 are left out, as in scipy's CSR product.
+    The partition is strongly lumpable iff every row is within ``tol`` of
+    the row of its class's first state.  Returns
     ``(labels, first, flows, detail)``: the sorted class labels, each
-    class's first state, F as CSR, and None or the counterexample at the
-    smallest breaching state and, within it, the smallest target class.
+    class's first state, F as CSR arrays ``(indptr, indices, data)``, and
+    None or the counterexample at the smallest breaching state and, within
+    it, the smallest target class.
     ``tol`` must be finite and nonnegative, else ``ValueError``.
     """
     if not 0 <= tol < math.inf:
@@ -145,21 +210,26 @@ def _class_flows(gen: Generator, partition: Sequence[int], tol: float):
     if len(part) != gen.n:
         raise ValueError("partition must cover all states")
     labels, first, cls = np.unique(part, return_index=True, return_inverse=True)
-    v = sp.csr_matrix((np.ones(gen.n), (np.arange(gen.n), cls)), shape=(gen.n, len(labels)))
-    flows = (gen.offdiag @ v).tocsr()
-    dev = abs(flows - flows[first[cls]]).tocoo()
-    bad = dev.data > tol
-    if not bad.any():
+    m = max(len(labels), 1)
+    key, data = _sum_runs(gen._rows() * m + cls[gen.indices], gen.data)
+    key, data = key[data != 0], data[data != 0]
+    rows, indices = np.divmod(key, m)
+    indptr = np.searchsorted(rows, np.arange(gen.n + 1))
+    flows = indptr, indices, data
+    # each row minus its class's first row, over the entries of either
+    at, count = _row_entries(indptr, first[cls])
+    rep_key = np.repeat(np.arange(gen.n) * m, count) + indices[at]
+    dev_key, dev = _sum_runs(np.concatenate((key, rep_key)), np.concatenate((data, -data[at])))
+    bad = np.flatnonzero(np.abs(dev) > tol)
+    if not len(bad):
         return labels, first, flows, None
-    rows, cols = dev.row[bad], dev.col[bad]
-    i = rows.min()
-    target = cols[rows == i].min()
-    rep = first[cls[i]]
+    i, target = divmod(int(dev_key[bad[0]]), m)
+    rep = int(first[cls[i]])
     return labels, first, flows, {
         "class": int(labels[cls[i]]),
-        "states": (int(rep), int(i)),
+        "states": (rep, i),
         "target_class": int(labels[target]),
-        "rates": (float(flows[rep, target]), float(flows[i, target])),
+        "rates": tuple(float(data[key == s * m + target].sum()) for s in (rep, i)),
     }
 
 
@@ -183,15 +253,15 @@ def lump_generator(gen: Generator, partition: Sequence[int], tol: float = 1e-9) 
     Entry [C, C'] is the representative row sum into C'; flows inside a class
     contribute to the diagonal only.
     """
-    labels, first, flows, detail = _class_flows(gen, partition, tol)
+    labels, first, (indptr, indices, data), detail = _class_flows(gen, partition, tol)
     if detail is not None:
         raise LumpabilityError(detail)
     if not np.array_equal(labels, np.arange(len(labels))):
         raise ValueError("class ids must be 0..m-1")
-    lumped = flows[first].tocoo()
-    keep = (lumped.row != lumped.col) & (lumped.data != 0)
-    rows, cols, data = lumped.row[keep], lumped.col[keep], lumped.data[keep]
-    return Generator._from_arrays(len(labels), rows, cols, data)
+    at, count = _row_entries(indptr, first)
+    rows, cols, data = np.repeat(np.arange(len(labels)), count), indices[at], data[at]
+    keep = rows != cols
+    return Generator._from_arrays(len(labels), rows[keep], cols[keep], data[keep])
 
 
 # share of the truncation budget ``eps`` given to the left Poisson tail
@@ -255,10 +325,27 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (2**-54, 1), got {eps!r}")
 
 
-def _ring(pt: sp.csr_matrix, b: int) -> tuple:
+def _p_transposed(gen: Generator, lam: float) -> SimpleNamespace:
+    """Pᵀ = (I + Q/Λ)ᵀ as CSR arrays, bit for bit scipy's ``(sp.eye(n) +
+    gen.matrix / lam).T.tocsr()``: Q/Λ is Q·(1/Λ), the zeros it makes are
+    left out, and the indices are int32 while they fit."""
+    n, scale = gen.n, 1 / lam
+    off = gen.data * scale
+    keep = off != 0
+    rows = np.concatenate((gen.indices[keep], np.arange(n)))  # the rows of Pᵀ
+    cols = np.concatenate((gen._rows()[keep], np.arange(n)))
+    order = np.lexsort((cols, rows))
+    dtype = np.int32 if max(len(rows), n) <= np.iinfo(np.int32).max else np.int64
+    return SimpleNamespace(indptr=np.searchsorted(rows[order], np.arange(n + 1)).astype(dtype),
+                           indices=cols[order].astype(dtype),
+                           data=np.concatenate((off[keep], 1.0 + gen.diagonal * scale))[order])
+
+
+def _ring(pt, b: int) -> tuple:
     """``(b, indptr, indices, data)``: 2b copies of the n×n CSR matrix
-    ``pt`` in one CSR matrix, in which the rows of block j read the columns
-    of block j - 1 mod 2b.
+    ``pt`` (anything with ``indptr``, ``indices`` and ``data``) in one CSR
+    matrix, in which the rows of block j read the columns of block j - 1
+    mod 2b.
 
     ``transient`` makes every kernel call in one shape: the rows of b
     consecutive blocks, reading and writing one vector of 2b·n entries, so
@@ -268,7 +355,7 @@ def _ring(pt: sp.csr_matrix, b: int) -> tuple:
     they differ in a bit.  The indices keep ``pt``'s dtype while 2b·nnz
     fits in int32, and are int64 past that.
     """
-    n, nnz = pt.shape[0], pt.nnz
+    n, nnz = len(pt.indptr) - 1, len(pt.data)
     dtype = np.int64 if 2 * b * nnz > np.iinfo(np.int32).max else pt.indices.dtype
     blocks = np.arange(2 * b, dtype=dtype)[:, None]
     indptr = np.empty(2 * b * n + 1, dtype=dtype)
@@ -365,8 +452,8 @@ def transient(
             f"{right + 1} uniformization terms needed, budget is {_MAX_TERMS}"
         )
     if gen._uniformized is None:
-        pt = (sp.eye(gen.n, format="csr") + gen.matrix / lam).T.tocsr()
-        gen._uniformized = _ring(pt, max(1, _RING // pt.nnz))
+        pt = _p_transposed(gen, lam)
+        gen._uniformized = _ring(pt, max(1, _RING // len(pt.data)))
     b, indptr, indices, data = gen._uniformized
     n = gen.n
     # step k lands in block (k - 1) mod 2b, so pi0, step 0, in the last

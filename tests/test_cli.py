@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rwspn import build_npl_sys, check_strong_lumpability, cli, explore, production_rules, rewrite
@@ -62,6 +63,30 @@ def test_verify_passes(capsys):
     assert "normalize-oracle: PASS" in out
     assert "strong-lumpability: PASS" in out
     assert "lumped-vs-quotient: PASS" in out
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_verify_counts_an_entry_of_one_generator_at_its_full_rate(change, capsys, monkeypatch):
+    # the lumped generator loses its first entry, or gains one at 0.375;
+    # every other entry equals the quotient's, so that rate is max |delta|
+    def changed(gen, partition, tol):
+        lumped = lump_generator(gen, partition, tol)
+        rows, cols, data = lumped._rows(), lumped.indices, lumped.data
+        if change == "missing":
+            seen.append(data[0])
+            return cli.Generator._from_arrays(lumped.n, rows[1:], cols[1:], data[1:])
+        final = int(np.flatnonzero(np.diff(lumped.indptr) == 0)[0])  # a row without entries
+        seen.append(0.375)
+        return cli.Generator._from_arrays(lumped.n, np.append(rows, final),
+                                          np.append(cols, 1 - min(final, 1)), np.append(data, 0.375))
+
+    seen = []
+    lump_generator = cli.lump_generator
+    monkeypatch.setattr(cli, "lump_generator", changed)
+    assert main(["verify", "--n", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["strong-lumpability: PASS (60 states)",
+                       f"lumped-vs-quotient: FAIL (max |delta| = {seen[0]:.3e})"]
 
 
 def test_explore_verify_symmetry_fails_on_a_non_minimal_state(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,7 @@ from rwspn import (
     throughput,
     transient,
 )
-from rwspn.ctmc import _LEFT_SHARE, _RING, _poisson_window, _ring
+from rwspn.ctmc import _LEFT_SHARE, _RING, _class_flows, _p_transposed, _poisson_window, _ring
 
 from conftest import chain, ordinary_ts, quotient_ts
 
@@ -85,6 +85,16 @@ def test_generator_rejects_non_finite_and_diagonal_rates(rates):
 def test_generator_accepts_numpy_integer_indices():
     gen = Generator(2, {(np.int64(0), np.int32(1)): 0.1})
     assert gen.entries() == two_state_chain().entries()
+
+
+def test_from_arrays_refuses_a_repeated_entry():
+    # a repeated (row, col) would be listed twice by entries() and in
+    # generator.coo; it is refused wherever the pair sits in the arrays
+    for rows, cols in (([0, 0, 1], [1, 1, 2]), ([0, 1, 0], [1, 2, 1]), ([2, 1, 2], [0, 2, 0])):
+        with pytest.raises(ValueError, match=r"entry \(\d, \d\) given twice"):
+            Generator._from_arrays(3, np.array(rows), np.array(cols), [1.0, 2.0, 3.0])
+    gen = Generator._from_arrays(3, np.array([0, 1, 0]), np.array([1, 0, 2]), [1.0, 2.0, 3.0])
+    assert gen.entries() == ((0, 1, 1.0), (0, 2, 3.0), (1, 0, 2.0))
 
 
 def test_build_generator_sums_parallel_edges_and_skips_self_loops():
@@ -329,21 +339,65 @@ def test_poisson_window_matches_scipy_stats(eps):
         assert right in (kmax, kmax + 1), mu
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"],
-                         ids=lambda name: name.split(".")[1])
-def test_rwspn_process_leaves_out_scipy(module, tmp_path):
+def _rwspn_process(code: str) -> str:
+    """The stdout of a fresh Python process that runs ``code`` with rwspn
+    importable from its source tree."""
     src = str(Path(rwspn.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["scipy", "scipy.sparse", "scipy.stats", "scipy.special"],
+                         ids=lambda name: name.split(".")[-1])
+def test_rwspn_process_leaves_out_scipy(module, tmp_path):
+    # every command, each after the others in one process; the keys are
+    # exact, so the CSR kernel's module scipy.sparse._sparsetools may load
+    commands = [[name, "--n", "1", "--out", str(tmp_path / name)]
+                for name in ("explore", "solve", "verify", "export-net")]
     code = (
         "import sys, rwspn; imported = sys.modules.copy()\n"
         "from rwspn import cli\n"
-        f"assert cli.main(['solve', '--n', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert [cli.main(argv) for argv in {commands!r}] == [0, 0, 0, 0]\n"
         f"print({module!r} in imported, {module!r} in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "False False"
+    assert _rwspn_process(code).splitlines()[-1] == "False False"
+
+
+def _transient_digest(gen) -> str:
+    pi0 = np.zeros(gen.n)
+    pi0[0] = 1.0
+    return transient(gen, pi0, 300.0 / gen.max_exit_rate, eps=1e-12).tobytes().hex()
+
+
+def test_csr_kernel_falls_back_to_the_plain_import(tmp_path):
+    # the loader finds the kernel's file next to scipy's package; pointed at
+    # an empty folder, rwspn imports scipy.sparse and takes its kernel
+    code = (
+        "import importlib.util, sys\n"
+        "find_spec = importlib.util.find_spec\n"
+        "def empty(name, *args):\n"
+        "    spec = find_spec(name, *args)\n"
+        "    if name == 'scipy':\n"
+        f"        spec.submodule_search_locations = [{str(tmp_path)!r}]\n"
+        "    return spec\n"
+        "importlib.util.find_spec = empty\n"
+        "import rwspn.ctmc\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "from scipy.sparse import _sparsetools\n"
+        "print(rwspn.ctmc.csr_matvec is _sparsetools.csr_matvec)\n"
+        "from conftest import quotient_ts\n"
+        "from test_ctmc import _transient_digest\n"
+        "print(_transient_digest(rwspn.build_generator(quotient_ts(2))))\n"
+    )
+    tests = str(Path(__file__).parent)
+    lines = _rwspn_process(f"import sys; sys.path.insert(0, {tests!r})\n" + code).splitlines()
+    assert lines[-3:] == ["True", "True", _transient_digest(build_generator(quotient_ts(2)))]
+    # loaded from its file, the kernel is the one a later scipy.sparse import uses
+    assert rwspn.ctmc.csr_matvec is sp._sparsetools.csr_matvec
+    assert sys.modules["scipy.sparse._sparsetools"] is sp._sparsetools
 
 
 @pytest.mark.parametrize("mu, eps", [(1985768.5058757993, 1e-9), (1492359.7715537474, 1e-6)])
@@ -474,6 +528,48 @@ def test_transient_matvec_is_bit_identical_to_matmul(n):
         assert got.tobytes() == expected.tobytes()
         assert gen._uniformized[0] == b
     assert gen._uniformized[2].dtype == np.int64
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _assert_numpy_matches_scipy(gen, part):
+    """The diagonal, F = Q·V and Pᵀ in numpy against scipy's, in bytes; no
+    pipeline step reads ``offdiag``."""
+    flows = _class_flows(gen, part, 0.0)[2]
+    if gen.max_exit_rate:
+        pt = _p_transposed(gen, 1.02 * gen.max_exit_rate)
+    assert "offdiag" not in vars(gen) and "matrix" not in vars(gen)
+    _same_bytes(gen.diagonal, -np.asarray(gen.offdiag.sum(axis=1)).ravel())
+    _labels, cls = np.unique(part, return_inverse=True)
+    v = sp.csr_matrix((np.ones(gen.n), (np.arange(gen.n), cls)), shape=(gen.n, cls.max(initial=-1) + 1))
+    # scipy's product leaves each row's columns in reverse first-seen order
+    want = (gen.offdiag @ v).tocsr().sorted_indices()
+    for got, name in zip(flows, ("indptr", "indices", "data")):
+        wanted = getattr(want, name)
+        _same_bytes(got, wanted if name == "data" else wanted.astype(np.int64))
+    if gen.max_exit_rate:
+        for name in ("indptr", "indices", "data"):
+            _same_bytes(getattr(pt, name), getattr(_uniformized(gen), name))
+
+
+@pytest.mark.parametrize("which, n", [("quotient", 1), ("quotient", 2), ("quotient", 3),
+                                      ("ordinary", 1), ("ordinary", 2)])
+def test_numpy_products_match_scipy(which, n):
+    ts = (quotient_ts if which == "quotient" else ordinary_ts)(n)
+    # the final states absorb: their diagonal is -0.0
+    assert np.signbit(build_generator(ts).diagonal[list(ts.final_states())]).all()
+    parts = [np.arange(len(ts)) % 5, np.zeros(len(ts), dtype=np.int64)]
+    if which == "ordinary":
+        parts.append(quotient_partition(ts, quotient_ts(n)))
+    for part in parts:
+        _assert_numpy_matches_scipy(build_generator(ts), part)
+
+
+@given(lumping_cases())
+def test_numpy_products_match_scipy_on_lumping_cases(case):
+    _assert_numpy_matches_scipy(*case)
 
 
 def _divisors(m):
