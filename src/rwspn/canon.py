@@ -54,19 +54,14 @@ def sibling_groups(net: Net) -> tuple[tuple[GroupKey, tuple[int, ...]], ...]:
     """Sibling groups of a net, deepest (longest suffix) first.
 
     Each entry is ((suffix, tag), indices); indices are exactly those that
-    occur in the net for that context.  Computed once and kept in
-    ``net._cache``.
+    occur in the net for that context.
     """
-    groups = net._cache.get(sibling_groups)
-    if groups is None:
-        acc: dict[GroupKey, set[int]] = {}
-        for pl in net.places():
-            for q, (tag, idx) in enumerate(pl.pairs):
-                acc.setdefault((pl.pairs[q + 1:], tag), set()).add(idx)
-        ordered = sorted(acc.items(), key=lambda kv: (-len(kv[0][0]), kv[0]))
-        groups = tuple((key, tuple(sorted(idx))) for key, idx in ordered)
-        net._cache[sibling_groups] = groups
-    return groups
+    acc: dict[GroupKey, set[int]] = {}
+    for pl in net.places():
+        for q, (tag, idx) in enumerate(pl.pairs):
+            acc.setdefault((pl.pairs[q + 1:], tag), set()).add(idx)
+    ordered = sorted(acc.items(), key=lambda kv: (-len(kv[0][0]), kv[0]))
+    return tuple((key, tuple(sorted(idx))) for key, idx in ordered)
 
 
 def _rewrite_place(pl: Place, chosen: Assignment) -> Place:
@@ -105,13 +100,13 @@ def _arrangements(groups, bound: int = _BOUND):
 
 
 class _NetForm(NamedTuple):
-    """What normalization needs to know about one raw net."""
+    """What normalization needs to know about one dense net."""
 
-    # the canonical net, None if that is the raw net itself: a net that
+    # the canonical net, None if that is the dense net itself: a net that
     # held itself through its form would be freed only by the collector
     net: Net | None
-    # (candidates x places): row c holds the raw-net place index that lands
-    # on each canonical place index, so ``block[:, perms]`` is every image
+    # (candidates x places): row c holds the dense-net place index that
+    # lands on each canonical place index, so ``block[:, perms]`` is every image
     perms: np.ndarray
     # per column-sorted group: a (columns x rows) array of canonical place
     # indices, the rows of a column in place order
@@ -132,33 +127,34 @@ def _place_map(net: Net, image: Net, assignment: Assignment) -> tuple:
     return tuple(index[_rewrite_place(pl, assignment)] for pl in net.places())
 
 
-def _net_form(net: Net) -> _NetForm:
-    """Canonical net and marking candidates of a raw net, computed once
-    and kept in ``net._cache``, so that the form is freed with the net.
+def _dense(net: Net) -> tuple:
+    """The dense net (each sibling group renamed onto 0..k-1 in index order)
+    and the raw place that densifies onto each dense place, or (None, None)
+    for a dense net; kept in ``net._cache``, so a raw net holds its dense net."""
+    pair = net._cache.get(_dense)
+    if pair is None:
+        densify = {key: dict(zip(ix, range(len(ix)))) for key, ix in sibling_groups(net)}
+        dense = apply_assignment(System(net), densify).net
+        gather = np.empty(len(net.places()), dtype=np.intp)
+        gather[list(_place_map(net, dense, densify))] = np.arange(len(gather))
+        pair = net._cache[_dense] = (None, None) if dense is net else (dense, gather)
+    return pair
 
-    Symmetry is decided once per dense net, whose groups each span 0..k-1;
-    any other net gathers its dense net's form (each group renamed onto
-    0..k-1 in index order): each candidate reads the raw place that
-    densifies onto each dense place.  The swap test needs a dense net, as
-    densifying renames each inner group by its own index set, so a raw net
-    may be fixed by fewer swaps.  If every adjacent swap of every group
-    fixes a dense net, they generate the admissible group, so every
-    assignment's image is the net; the candidates keep each column-sorted
-    group in index order and arrange the others every way.  Otherwise the
-    net takes the oracle's table: the least image and the maps reaching it.
-    """
+
+def _net_form(net: Net) -> _NetForm:
+    """Canonical net and marking candidates of a dense net, kept in
+    ``net._cache``, so that the form is freed with the net.  The swap test
+    needs a dense net, whose groups each span 0..k-1: a raw net may be
+    fixed by fewer swaps, as densifying renames each inner group by its own
+    index set.  If every adjacent swap of every group fixes the net, they
+    generate the admissible group, so every assignment's image is the net;
+    the candidates keep each column-sorted group in index order and arrange
+    the others every way.  Otherwise the net takes the oracle's table: the
+    least image and the maps reaching it."""
     form = net._cache.get(_NetForm)
     if form is not None:
         return form
     groups = sibling_groups(net)
-    densify = {key: dict(zip(ix, range(len(ix)))) for key, ix in groups}
-    dense = apply_assignment(System(net), densify).net
-    if dense is not net:
-        form = _net_form(dense)
-        raw = np.empty(len(net.places()), dtype=np.intp)  # dense place -> raw place
-        raw[list(_place_map(net, dense, densify))] = np.arange(len(raw))
-        form = net._cache[_NetForm] = form._replace(net=form.net or dense, perms=raw[form.perms])
-        return form
     if all(_swap_fixes(net, key, ix, i) for key, ix in groups for i in range(len(ix) - 1)):
         # a top-level group whose tag never occurs further in has contiguous
         # rows in the rendering: one per inner label, one cell per index
@@ -172,7 +168,7 @@ def _net_form(net: Net) -> _NetForm:
         in_order, assignments = {}, _arrangements(groups)  # checks the bound
         image, maps = net._cache.get(_Images) or _images(net, assignments)
     places = (image or net).compiled().places
-    # row c of perms inverts map c: the raw place that lands on each place
+    # row c of perms inverts map c: the dense place that lands on each place
     perms = np.empty_like(maps)
     perms[np.arange(len(maps))[:, None], maps] = np.arange(len(places))
     # a sorted group's places, one row after another in place order, each
@@ -196,7 +192,11 @@ _CELLS = 1 << 16
 def normalize_block(net: Net, block: np.ndarray) -> tuple[Net, np.ndarray]:
     """``normalize`` on every row of ``block``, an int64 matrix of marking
     vectors over ``net.compiled()``: the canonical net and the matrix of
-    normal-form vectors over its compiled places, row by row."""
+    normal-form vectors over its compiled places, row by row.  A raw net's
+    rows are gathered into its dense net's place order, and normalized there."""
+    dense, gather = _dense(net)
+    if dense is not None:
+        net, block = dense, block[:, gather]
     form = _net_form(net)
     step = max(1, _CELLS // max(1, form.perms.size))
     out = np.empty_like(block)

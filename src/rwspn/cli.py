@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .canon import brute_force_states, normalize_states
+from .canon import CanonBoundError, brute_force_states, normalize_states
 from .ctmc import (
     Generator,
     LumpabilityError,
+    TransientBudgetError,
     _check_eps,
     _sum_runs,
     build_generator,
@@ -213,7 +214,7 @@ def main(argv=None) -> int:
         explore_parser.error("argument --verify-symmetry: needs --mode quotient")
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, CanonBoundError, TransientBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

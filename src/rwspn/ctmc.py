@@ -168,10 +168,12 @@ def build_generator(ts: TransitionSystem) -> Generator:
     adjacent; ``np.bincount`` sums it in edge order.
     """
     keep = ts.src != ts.dst
-    src, dst, rate = ts.src[keep], ts.dst[keep], _edge_rates(ts)[keep]
+    src, dst = ts.src[keep], ts.dst[keep]
     run, first = _runs(np.arange(len(src)), src, dst)
-    data = np.bincount(run, weights=rate)
+    data = np.bincount(run, weights=_edge_rates(ts)[keep])
     src, dst = src[first], dst[first]
+    # freed before the generator sorts, or they would add to its peak
+    del keep, run, first
     return Generator._from_arrays(len(ts), src, dst, data)
 
 
@@ -201,7 +203,8 @@ def _class_flows(gen: Generator, partition: Sequence[int], tol: float):
     ``(labels, first, flows, detail)``: the sorted class labels, each
     class's first state, F as CSR arrays ``(indptr, indices, data)``, and
     None or the counterexample at the smallest breaching state and, within
-    it, the smallest target class.
+    it, the smallest target class, with the worst |F - F[rep]| over every
+    entry as ``max_deviation``.
     ``tol`` must be finite and nonnegative, else ``ValueError``.
     """
     if not 0 <= tol < math.inf:
@@ -230,6 +233,7 @@ def _class_flows(gen: Generator, partition: Sequence[int], tol: float):
         "states": (rep, i),
         "target_class": int(labels[target]),
         "rates": tuple(float(data[key == s * m + target].sum()) for s in (rep, i)),
+        "max_deviation": float(np.abs(dev).max()),
     }
 
 
@@ -241,7 +245,8 @@ def check_strong_lumpability(
 
     The diagonal never participates (flows inside a state's own class count
     only the off-diagonal part).  Members are compared against the first
-    state of their class at tolerance ``tol``.  Returns (ok, counterexample).
+    state of their class at tolerance ``tol``.  Returns (ok, counterexample);
+    a counterexample's ``max_deviation`` is the worst deviation of any entry.
     """
     detail = _class_flows(gen, partition, tol)[3]
     return detail is None, detail
@@ -546,7 +551,7 @@ class MeasureSeries:
 
 
 def default_grid(points: int = 60, start: float = 1.0, stop: float = 1e4) -> list[float]:
-    return list(np.logspace(np.log10(start), np.log10(stop), points))
+    return np.logspace(np.log10(start), np.log10(stop), points).tolist()
 
 
 def measure_series(

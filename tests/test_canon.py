@@ -35,9 +35,11 @@ from rwspn import (
     sibling_groups,
     system_order,
 )
+from rwspn import canon as canon_module
 from rwspn.canon import (
     CanonBoundError,
     _arrangements,
+    _dense,
     _Images,
     _net_form,
     _NetForm,
@@ -251,27 +253,33 @@ def test_net_pool_frees_candidate_images():
     assert live_nets() - before <= 2
 
 
-@pytest.mark.parametrize("normalized", [False, True, "ring3"])
+@pytest.mark.parametrize("normalized", [False, True, "ring3", "gapped"])
 def test_normal_form_is_freed_with_its_net(normalized):
     # the form is kept on the net, so normalizing does not pin the net;
     # the rate tells the cases' nets apart, which are interned otherwise.
     # No swap fixes a ring of 3, so it keeps the oracle's table next to its
-    # form; neither refers back to the net, so no collector is needed
-    x0, x1 = place(("X", 0)), place(("X", 1))
+    # form; neither refers back to the net, so no collector is needed. A
+    # gapped net holds its dense net, which is freed with it
+    x0, x1, x2 = place(("X", 0)), place(("X", 1)), place(("X", 2))
     if normalized == "ring3":
         net = Net(_move(place(("X", i)), place(("X", (i + 1) % 3)), rate=3.5) for i in range(3))
+    elif normalized == "gapped":
+        net = Net([_move(x0, x2, rate=4.5), _move(x2, x0, rate=4.5)])
     else:
         net = Net([_move(x0, x1, rate=2.0 + normalized), _move(x1, x0, rate=2.0 + normalized)])
     if normalized:
-        assert _normal_marking(normalize, net, x1) == Bag({x0: 1})
+        assert _normal_marking(normalize, net, x2 if normalized == "gapped" else x1) == Bag({x0: 1})
     if normalized == "ring3":
         assert {_Images, _NetForm} <= net._cache.keys()
-    alive = weakref.ref(net)
+    alive = [weakref.ref(net)]
+    if normalized == "gapped":
+        alive.append(weakref.ref(net._cache[_dense][0]))
+        assert _NetForm in alive[1]()._cache
     gc.collect()
     gc.disable()
     try:
         del net
-        assert alive() is None
+        assert [ref() for ref in alive] == [None] * len(alive)
     finally:
         gc.enable()
 
@@ -407,12 +415,13 @@ def test_brute_force_states_matches_the_per_state_oracle(cells, monkeypatch):
     assert brute_force_states([]) == []
 
 
-def _rated_gapped_net():
+def _rated_gapped_net(siblings=(0, 2, 3, 5), rate=2.0):
     # siblings 0, 2, 3 and 5 of "X"; sibling 3 has its own rate, so no swap
     # of it fixes the net, and the other three arrange every way
     return Net(
-        _move(place(("a", 0), ("X", i)), place(("b", 0), ("X", i)), rate=1 + (i == 3))
-        for i in (0, 2, 3, 5)
+        _move(place(("a", 0), ("X", i)), place(("b", 0), ("X", i)),
+              rate=rate if i == siblings[2] else 1.0)
+        for i in siblings
     )
 
 
@@ -439,10 +448,11 @@ def test_normalize_states_matches_the_per_state_oracle(make, unfixed, count):
     net = make()
     rng = random.Random(67)
     systems = [System(net, _string_ordered_marking(net, rng)) for _ in range(count)]
-    # the table sits on the dense net, which the raw net's form need not
-    # keep alive; a raw net that is not dense builds none
-    dense = _dense(net)
     normal = normalize_states([s._state() for s in systems])
+    # the table sits on the dense net, which the raw net holds; a raw net
+    # that is not dense builds none
+    dense = _dense(net)[0] or net
+    assert dense is _densified(net)
     assert (_Images in dense._cache) == unfixed
     assert dense is net or _Images not in net._cache
     assert [System.decoded(*state) for state in normal] == [per_state_oracle(s) for s in systems]
@@ -453,38 +463,73 @@ def _densify(net):
     return {key: dict(zip(ix, range(len(ix)))) for key, ix in sibling_groups(net)}
 
 
-def _dense(net):
+def _densified(net):
     return apply_assignment(System(net), _densify(net)).net
 
 
 def test_raw_form_is_its_dense_form_gathered():
-    # a raw net decides no symmetry of its own: its form is its dense net's,
-    # each candidate read through the raw place that densifies onto each
-    # dense place; each gapped net also with its indices shuffled, which
-    # makes densifying reorder the places of the gapped inner net
+    # a raw net decides no symmetry of its own and keeps no form: it holds
+    # its dense net and the raw place that densifies onto each dense place,
+    # and its rows normalize as those rows gathered onto the dense net; each
+    # gapped net also with its indices shuffled, which makes densifying
+    # reorder the places of the gapped inner net
     rng = random.Random(73)
     nets = []
     for net in (_gapped_net(), _rated_gapped_net(), _gapped_inner_net(3)):
         shuffled = apply_assignment(System(net), random_admissible_assignment(System(net), rng))
         nets += [net, shuffled.net]
     _ts, raws = _raw_targets(3)
-    rule_targets = [net for net in raws if _dense(net) is not net]
+    rule_targets = [net for net in raws if _densified(net) is not net]
     assert len(rule_targets) >= 5
     reordered = 0
     for net in nets + sorted(rule_targets, key=Net.render):
-        dense = _dense(net)
+        dense = _densified(net)
         assert dense is not net
-        raw, form = _net_form(net), _net_form(dense)
-        assert raw.net is (form.net or dense)
-        assert np.array_equal(raw.ranks, form.ranks)
-        assert [c.tolist() for c in raw.columns] == [c.tolist() for c in form.columns]
         gather = np.empty(len(net.places()), dtype=np.intp)
         for j, pl in enumerate(net.compiled().places):
             (image,) = apply_assignment(System(net, Bag({pl: 1})), _densify(net)).marking
             gather[dense.compiled().index[image]] = j
-        assert np.array_equal(gather[form.perms], raw.perms)
+        if net in raws:
+            block = np.concatenate(raws[net])
+        else:
+            marks = [_string_ordered_marking(net, rng) for _ in range(20)]
+            block = np.array([net.compiled().encode(m) for m in marks], dtype=np.int64)
+        before = set(net._cache)
+        canon, normal = normalize_block(net, block)
+        expected_canon, expected = normalize_block(dense, block[:, gather])
+        assert canon is expected_canon and np.array_equal(normal, expected)
+        # normalizing keeps only that pair on the raw net (the oracle's
+        # table is there if another test gave the oracle this net)
+        assert set(net._cache) - before <= {_dense} and _NetForm not in net._cache
+        held, held_gather = net._cache[_dense]
+        assert held is dense and np.array_equal(held_gather, gather)
+        assert held_gather.shape == gather.shape and held_gather.dtype == np.intp
         reordered += not np.array_equal(gather, np.arange(len(gather)))
     assert reordered
+
+
+def test_dense_net_table_is_built_once(monkeypatch):
+    # two raw nets that densify onto one dense net, which no swap fixes and
+    # whose least image is another net: normalized in turn, with no other
+    # reference to the dense net, its oracle table is built once. The
+    # counter holds no net
+    calls = [0]
+    images = canon_module._images
+
+    def counted(net, assignments):
+        calls[0] += 1
+        return images(net, assignments)
+
+    monkeypatch.setattr(canon_module, "_images", counted)
+    rng = random.Random(79)
+    raws = [_rated_gapped_net(siblings, rate=3.0) for siblings in ((0, 2, 3, 5), (1, 4, 6, 9))]
+    assert _densified(raws[0]) is _densified(raws[1])
+    gc.collect()
+    for net in raws:
+        states = [System(net, _string_ordered_marking(net, rng))._state() for _ in range(10)]
+        assert normalize_states(states)[0][0] is not _dense(net)[0]
+        gc.collect()
+    assert calls == [1]
 
 
 def test_symmetry_is_derived_once_per_dense_net():
@@ -519,8 +564,10 @@ def test_gapped_inner_groups_take_the_column_sort():
     rng = random.Random(71)
     s = System(net, _string_ordered_marking(net, rng))
     base = normalize(s)
-    assert _Images not in net._cache
-    assert len(_net_form(net).perms) == 2**8
+    dense, _gather = _dense(net)
+    assert dense is _densified(net)
+    assert _Images not in dense._cache
+    assert len(_net_form(dense).perms) == 2**8
     for _ in range(5):
         phi = random_admissible_assignment(s, rng)
         assert normalize(apply_assignment(s, phi)) == base

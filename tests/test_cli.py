@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,28 @@ def test_solve_budget_exceeded(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: state budget 10 exceeded")
+    assert not out.exists()
+
+
+def test_explore_canon_bound_exceeded(tmp_path, capsys):
+    # 8 lines of 3 branches: (3!)**8 arrangements of the inner groups
+    out = tmp_path / "cb"
+    assert main(["explore", "--n", "8", "--k", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\nerror: 1679616 sibling permutations exceed bound 1000000\n")
+    assert not out.exists()
+
+
+def test_solve_transient_budget_exceeded(tmp_path, capsys):
+    # the grid's t values are floats, so mu prints as a plain number
+    out = tmp_path / "tb"
+    assert main(["solve", "--n", "1", "--grid", "1:10000000:2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: mu = 25520397.44796 needs about as many uniformization terms, budget is 2000000\n"
+    )
     assert not out.exists()
 
 
@@ -128,6 +152,19 @@ def test_verify_perturbed_fails(capsys):
     ok, detail = check_strong_lumpability(gen, partition, tol=1e-9)
     assert not ok
     assert captured.err == f"  counterexample: {detail}\n"
+
+
+def test_verify_perturbed_reports_the_doubled_rate(capsys):
+    # the partition is lumpable before one entry is doubled, so the worst
+    # deviation is that entry's rate before the doubling
+    assert main(["verify", "--n", "1", "--perturb"]) == 1
+    detail = ast.literal_eval(capsys.readouterr().err.split("counterexample: ", 1)[1])
+    system = build_npl_sys(1, 2, 2)
+    ordinary = explore(system, production_rules(), mode="ordinary")
+    partition = cli.quotient_partition(ordinary, explore(system, production_rules(), mode="quotient"))
+    gen = cli.build_generator(ordinary)
+    (doubled,) = np.flatnonzero(cli._perturbed(gen, partition).data != gen.data)
+    assert detail["max_deviation"] == gen.data[doubled] > 0
 
 
 def test_solve_writes_measures(tmp_path, capsys):

@@ -12,13 +12,20 @@ uniformization that multiplied through ``pt @ vec`` with weights from
 ``exp(xlogy(k, mu) - gammaln(k + 1) - mu)``, except that the default-grid
 N=3 and N=4 digests were taken from the uniformization that ran b mat-vecs
 per kernel call, with weights from Fox–Glynn's recurrence.
+
+Those files print rates and measures to 12 significant digits, so a change
+in the last bit of the generator's diagonal or of ``transient`` passes
+them.  ``SERIES_BITS`` and ``DIAGONAL_BITS`` pin those floats bit for bit;
+they were taken from the diagonal summed by ``np.add.reduceat`` in scipy's
+row-sum order.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from rwspn import build_generator, build_npl_sys, explore
+from rwspn import build_generator, build_npl_sys, default_grid, explore, measure_series
 from rwspn.cli import main
 
 from conftest import ordinary_ts, quotient_ts
@@ -126,3 +133,29 @@ def test_export_digests(case, tmp_path):
     names = _write_exports(case, tmp_path)
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
     assert got == GOLDEN[case]
+
+
+# SHA-256 of the throughput then reliability floats of the benchmark's solve
+# model (solve --n 2 --grid 1:100000:100 --eps 1e-12)
+SERIES_BITS = "ad9a2b11c7c9db4d5c79e59a6a492b1a9bf8617933512b32fa5d28b481baca1b"
+# SHA-256 of the generator's diagonal at N=2
+DIAGONAL_BITS = {
+    "quotient": "6aef5520ea718f2c2c6bbf34e78a69dc75d2488b2c7f41c88f0cd4e81d2f2b6f",
+    "ordinary": "3f3ced1cc76f2f3eb12970ea54b3f025b03cd62d31599ed1e561be78853fb5ac",
+}
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.asarray(array).tobytes()).hexdigest()
+
+
+def test_solve_series_bits():
+    ts = quotient_ts(2)
+    series = measure_series(ts, build_generator(ts), default_grid(100, 1.0, 1e5), eps=1e-12)
+    assert _sha256(series.throughput + series.reliability) == SERIES_BITS
+
+
+@pytest.mark.parametrize("mode", sorted(DIAGONAL_BITS))
+def test_generator_diagonal_bits(mode):
+    ts = quotient_ts(2) if mode == "quotient" else ordinary_ts(2)
+    assert _sha256(build_generator(ts).diagonal) == DIAGONAL_BITS[mode]
