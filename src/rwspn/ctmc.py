@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .canon import _runs
-from .statespace import TransitionSystem, _write_lines
+from .statespace import _SLICE, TransitionSystem, _write_lines
 
 
 def _load_csr_matvec():
@@ -144,15 +144,20 @@ class Generator:
         return tuple(zip(self._rows().tolist(), self.indices.tolist(), self.data.tolist()))
 
     def write_coo(self, path) -> None:
-        # one repr per distinct rate, numbered by bit pattern since 0.0 == -0.0;
-        # the stable sort is the kernel that ``np.lexsort`` has loaded, where
-        # the default one loads another (0.2 MB more peak RSS on ``solve``)
-        bits = self.data.view(np.int64)
-        rate, first = _runs(np.argsort(bits, kind="stable"), bits)
+        # each slice of entries numbers its own distinct rates, one repr each,
+        # by bit pattern since 0.0 == -0.0, and looks its rows up in
+        # ``indptr``, so no array of the entries' length is built; the stable
+        # sort is the kernel that ``np.lexsort`` has loaded, where the
+        # default one loads another (0.2 MB more peak RSS on ``solve``)
         with open(path, "w") as fh:
             fh.write(f"{self.n}\n")
-            _write_lines(fh, [f" {r!r}\n" for r in self.data[first].tolist()],
-                         self._rows(), self.indices, rate)
+            for at in range(0, len(self.data), _SLICE):
+                data = self.data[at:at + _SLICE]
+                bits = data.view(np.int64)
+                rate, first = _runs(np.argsort(bits, kind="stable"), bits)
+                rows = np.searchsorted(self.indptr, np.arange(at, at + len(data)), "right") - 1
+                _write_lines(fh, [f" {r!r}\n" for r in data[first].tolist()],
+                             rows, self.indices[at:at + len(data)], rate)
 
 
 def _edge_rates(ts: TransitionSystem) -> np.ndarray:

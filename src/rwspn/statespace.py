@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import starmap
+from itertools import groupby, islice, starmap
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -17,7 +18,10 @@ Edge = tuple[int, int, str, float]  # source, target, label, rate
 
 # entries per slice that the exports, and the renderer of markings, turn
 # into Python lists at once
-_SLICE = 1 << 13
+_SLICE = 1 << 12
+# rows per slice that ``write_states`` renders, and the bytes it buffers
+# before a write: 8,192 rendered rows of a wide net are megabytes of text
+_ROWS, _BUFFER = 1 << 10, 1 << 18
 
 
 def _write_lines(fh, tails: list, first, second, tail) -> None:
@@ -73,15 +77,17 @@ class TransitionSystem:
     on the exploration schedule.
 
     Each state is held as its net and its row, the bytes of its int64
-    marking vector over ``net.compiled()`` (``rewrite.State``), with its
-    rendered marking; ``states`` decodes a ``System`` on access.
+    marking vector over ``net.compiled()`` (``rewrite.State``); no
+    rendered marking is held, and ``write_states`` renders each run of
+    states of one net in bounded slices of rows.  ``states`` decodes a
+    ``System`` on access.
     The edges are the int32 arrays ``src``, ``dst`` and ``kind``, sorted by
     (src, dst, label, rate); ``kind`` indexes ``kinds``, the sorted distinct
     (label, rate) pairs.  ``edges`` lists them as (src, dst, label, rate)
     tuples, built on first access.
     """
 
-    def __init__(self, cells: list, marks: list, levels: list, src, dst, kind, kinds):
+    def __init__(self, cells: list, levels: list, src, dst, kind, kinds):
         """Store the states and the edges; ``kind`` indexes ``kinds``, the
         distinct (label, rate) pairs in any order.  Sorts ``kinds``, then the
         edges by (src, dst, kind); raises ``AssertionError`` on two edges
@@ -105,7 +111,6 @@ class TransitionSystem:
             )
         self.levels = levels
         self._cells = cells
-        self._marks = marks
         self.states = _States(cells)
         self._edges = None
 
@@ -133,13 +138,23 @@ class TransitionSystem:
         return tuple(i for i in self.final_states() if pred(self.states[i]))
 
     def write_states(self, path) -> None:
-        """One ``System.canonical()`` line per state."""
-        with open(path, "w") as fh:
-            for (net, _vec), mark in zip(self._cells, self._marks):
-                fh.write(net.render())
-                fh.write("  ")
-                fh.write(mark)
-                fh.write("\n")
+        """One ``System.canonical()`` line per state.  Each run of states of
+        one net is rendered ``_ROWS`` rows at a time (``CompiledNet.render``)
+        and written as bytes through a buffer of about ``_BUFFER`` bytes, so
+        no more than one slice of markings is ever held as text."""
+        out = bytearray()
+        with open(path, "wb") as fh:
+            for net, run in groupby(self._cells, itemgetter(0)):
+                head, render = f"{net.render()}  ".encode(), net.compiled().render
+                while rows := [row for _net, row in islice(run, _ROWS)]:
+                    for mark in render(_block(net, rows)):
+                        out += head
+                        out += mark.encode()
+                        out += b"\n"
+                        if len(out) >= _BUFFER:
+                            fh.write(out)
+                            out.clear()
+            fh.write(out)
 
     def write_edges(self, path) -> None:
         with open(path, "w") as fh:
@@ -202,7 +217,6 @@ def explore(
 
     net, row = start
     states: list[State] = [start]
-    marks: list[str] = net.compiled().render(_block(net, [row]))
     levels: list[int] = [0]
     ids: dict = {net: {row: 0}}  # net -> row -> id
     kind_of: dict[tuple[str, float], int] = {}  # (label, rate) -> kind id
@@ -233,7 +247,7 @@ def explore(
             for i in sorted(range(len(rows)), key=new.__getitem__):
                 seen[rows[i]] = len(states)
                 states.append((net, rows[i]))
-                marks.append(new[i])
+            del new  # the strings order one level only
         levels += [level] * (len(states) - end)
         number = np.array([ids[net][row] for net, rows in targets for row in rows], dtype=np.int64)
         del targets  # freed before the next level
@@ -243,7 +257,7 @@ def explore(
 
     src, dst, kind = map(np.concatenate, zip(*edges))
     del edges
-    return TransitionSystem(states, marks, levels, src, dst, kind, list(kind_of))
+    return TransitionSystem(states, levels, src, dst, kind, list(kind_of))
 
 
 def _merged(src, dst, label, rate, labels: list, kind_of: dict) -> tuple:

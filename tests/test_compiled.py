@@ -176,11 +176,13 @@ def assert_renders_like_bags(net: Net, block: np.ndarray) -> None:
     [lambda: quotient_ts(3), lambda: explore(build_npl_sys(2, 3, 3), (), mode="ordinary")],
     ids=["quotient-3", "ordinary-2-3-3"],
 )
-def test_block_render_matches_bag_render_on_every_state(make):
-    # the 11,120 ordinary states share one net, which ``explore`` renders
-    # in two chunks of rows
+def test_block_render_matches_bag_render_on_every_state(make, tmp_path):
+    # the 11,120 ordinary states share one net, whose rows
+    # ``write_states`` renders in eleven slices
     ts = make()
-    assert ts._marks == [s.marking.render() for s in ts.states]
+    ts.write_states(tmp_path / "states.txt")
+    lines = (tmp_path / "states.txt").read_text().splitlines()
+    assert lines == [s.canonical() for s in ts.states]
     for net, markings in by_net(ts).items():
         block = np.array([net.compiled().encode(m) for m in markings], dtype=np.int64)
         assert_renders_like_bags(net, block)

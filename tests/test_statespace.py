@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -263,6 +264,33 @@ def test_exports_roundtrip_shape(tmp_path):
         assert [(int(s), int(d), lab, float(r)) for s, d, lab, r in parsed] == ts.edges
 
 
+def test_explore_keeps_no_rendered_marking():
+    # the 11,120 states of the firing-only N=2 model: their rendered
+    # markings were 4.4 MB of the 8.0 MB that ``explore`` kept
+    tracemalloc.start()
+    try:
+        ts = explore(build_npl_sys(2, 3, 3), (), mode="ordinary")
+        kept, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 11120 and not hasattr(ts, "_marks")
+    assert kept < 5 * 2**20
+
+
+def test_write_states_renders_in_bounded_slices(tmp_path):
+    # a slice of rendered rows is held while writing, not the whole net's
+    # run of them: 30.7 MB of text, which a join and its encoding hold twice
+    ts = explore(build_npl_sys(2, 3, 3), (), mode="ordinary")
+    tracemalloc.start()
+    try:
+        start, _peak = tracemalloc.get_traced_memory()
+        ts.write_states(tmp_path / "states.txt")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 1.5 * 2**20
+
+
 @pytest.fixture
 def decodes(monkeypatch):
     """Counts the ``CompiledNet.decode`` calls made while the test runs."""
@@ -343,5 +371,4 @@ def test_duplicate_edges_are_refused():
     ts = chain((0, 1, "x", 1.0))
     src, dst, kind = np.array([0, 0]), np.array([1, 1]), np.array([0, 1])
     with pytest.raises(AssertionError, match=r"duplicate edge \(0, 1, 'x'\)"):
-        TransitionSystem(ts._cells, ts._marks, ts.levels, src, dst, kind,
-                         [("x", 1.0), ("x", 2.0)])
+        TransitionSystem(ts._cells, ts.levels, src, dst, kind, [("x", 1.0), ("x", 2.0)])
