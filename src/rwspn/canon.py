@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bag import Bag
-from .net import _INT64_MAX, Net, Pair, Place, System, Transition, _block, _by_net, _rows
+from .net import _CELLS, _INT64_MAX, Net, Pair, Place, System, Transition
 
 GroupKey = tuple[tuple[Pair, ...], str]  # (label suffix, tag)
 Assignment = dict[GroupKey, dict[int, int]]
@@ -184,11 +184,6 @@ def _net_form(net: Net) -> _NetForm:
     return form
 
 
-# most image cells (rows x candidates x places) that ``normalize_block``
-# builds at once, so that its memory does not grow with the block
-_CELLS = 1 << 16
-
-
 def normalize_block(net: Net, block: np.ndarray) -> tuple[Net, np.ndarray]:
     """``normalize`` on every row of ``block``, an int64 matrix of marking
     vectors over ``net.compiled()``: the canonical net and the matrix of
@@ -254,23 +249,22 @@ def _runs(order: np.ndarray, *keys) -> tuple:
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
     for key in keys:
-        ranked = key[order]
-        differs = ranked[1:] != ranked[:-1]
-        new[1:] |= differs.any(axis=1) if differs.ndim > 1 else differs
+        # neighbours compared about ``_CELLS`` cells at a time, so that a
+        # matrix is not copied whole
+        step = max(1, _CELLS // max(1, key[:1].size))
+        for at in range(0, len(order), step):
+            ranked = key[order[at:at + step + 1]]
+            differs = ranked[1:] != ranked[:-1]
+            new[at + 1:at + len(ranked)] |= differs.any(axis=1) if differs.ndim > 1 else differs
     run = np.empty(len(order), dtype=np.int64)
     run[order] = np.cumsum(new) - 1
     return run, order[new]
 
 
-def normalize_states(states: list) -> list:
-    """The normal form of each (net, row) state, as such a state; the rows
-    of one net are normalized as one block."""
-    out = [None] * len(states)
-    for net, (members, rows) in _by_net(states).items():
-        canon, block = normalize_block(net, _block(net, rows))
-        for i, row in zip(members, _rows(block)):
-            out[i] = (canon, row)
-    return out
+def normalize_states(blocks: list) -> list:
+    """``normalize_block`` on each (net, int64 block) pair of ``blocks``:
+    the (canonical net, normal block) of each."""
+    return [normalize_block(net, block) for net, block in blocks]
 
 
 def normalize(system: System) -> System:
@@ -282,8 +276,8 @@ def normalize(system: System) -> System:
     index strings like numbers only up to 10 siblings; larger groups still
     get one representative per class, which may not be the minimum.
     """
-    (state,) = normalize_states([system._state()])
-    return System.decoded(*state)
+    canon, block = normalize_block(*system._state())
+    return System.decoded(canon, block[0])
 
 
 def normalize_marking(net: Net, marking: Bag) -> Bag:
@@ -340,9 +334,10 @@ def _images(net: Net, assignments) -> _Images:
     return table
 
 
-def brute_force_states(states: list, bound: int = _BOUND) -> list:
-    """Testing oracle: the least image of each (net, row) state over every
-    admissible index assignment, as such a state.
+def brute_force_states(blocks: list, bound: int = _BOUND) -> list:
+    """Testing oracle: the least image of each row of each (net, int64
+    block) pair over every admissible index assignment, as the pair of
+    the least image net and the matrix of image rows.
 
     For each sibling group all bijections of its index set onto 0..k-1 are
     tried (covering both permutation and re-densification); the systemOrder
@@ -355,12 +350,11 @@ def brute_force_states(states: list, bound: int = _BOUND) -> list:
     rendering is its least image.  The bound is checked per net on every
     call, before the table is used.
     """
-    out = [None] * len(states)
-    for net, (members, rows) in _by_net(states).items():
+    out = []
+    for net, block in blocks:
         assignments = _arrangements(sibling_groups(net), bound)
         table = net._cache.get(_Images) or _images(net, assignments)
-        least = table.net or net
-        maps, block = table.maps, _block(net, rows)
+        least, maps, least_rows = table.net or net, table.maps, np.empty_like(block)
         # an image's rendering costs far more memory than its int64 cells,
         # so a chunk holds at most a quarter of ``_CELLS`` image cells: whole
         # rows, or the images of one row through a slice of the maps
@@ -368,7 +362,7 @@ def brute_force_states(states: list, bound: int = _BOUND) -> list:
         step, cut = max(1, per // len(maps)), min(per, len(maps))
         for start in range(0, len(block), step):
             chunk = block[start:start + step]
-            best = [None] * len(chunk)  # per row, (least text, its image) so far
+            best = [None] * len(chunk)  # per row, the least text so far
             for first in range(0, len(maps), cut):
                 some = maps[first:first + cut]
                 # raw place j of a row lands on place some[m, j] of its image m
@@ -378,17 +372,17 @@ def brute_force_states(states: list, bound: int = _BOUND) -> list:
                 for r in range(len(chunk)):
                     mine = texts[r * len(some):(r + 1) * len(some)]
                     text = min(mine)
-                    if best[r] is None or text < best[r][0]:
-                        best[r] = (text, images[r, mine.index(text)].tobytes())
-            for i, (_text, image) in zip(members[start:start + step], best):
-                out[i] = (least, image)
+                    if best[r] is None or text < best[r]:
+                        best[r] = text
+                        least_rows[start + r] = images[r, mine.index(text)]
+        out.append((least, least_rows))
     return out
 
 
 def brute_force_normal(system: System, bound: int = _BOUND) -> System:
     """``brute_force_states`` on the one state of ``system``."""
-    (state,) = brute_force_states([system._state()], bound)
-    return System.decoded(*state)
+    ((least, block),) = brute_force_states([system._state()], bound)
+    return System.decoded(least, block[0])
 
 
 def random_admissible_assignment(system: System, rng: random.Random) -> Assignment:

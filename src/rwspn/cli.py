@@ -84,19 +84,29 @@ def cmd_explore(args) -> int:
         print(f"states>{exc.budget} final=? elapsed={time.perf_counter() - started:.2f}")
         raise
     elapsed = time.perf_counter() - started
-    if args.verify_symmetry:
-        checks = zip(ts._cells, brute_force_states(ts._cells))
-        bad = [i for i, (cell, bf) in enumerate(checks) if bf != cell]
-        if bad:
-            state = ts.states[bad[0]]
-            print(f"error: non-minimal normal form: {state.canonical()}", file=sys.stderr)
-            return 1
+    if args.verify_symmetry and (bad := _moved(ts, brute_force_states)) < len(ts):
+        print(f"error: non-minimal normal form: {ts.states[bad].canonical()}", file=sys.stderr)
+        return 1
     args.out.mkdir(parents=True, exist_ok=True)
     ts.write_states(args.out / "states.txt")
     ts.write_edges(args.out / "edges.txt")
     build_generator(ts).write_coo(args.out / "generator.coo")
     print(f"states={len(ts)} final={len(ts.final_states())} elapsed={elapsed:.2f}")
     return 0
+
+
+def _moved(ts, *forms) -> int:
+    """The least state of ``ts`` that one of ``forms`` (``normalize_states``,
+    ``brute_force_states``) takes to another net or row, else ``len(ts)``;
+    each net's rows are checked as one block."""
+    least = len(ts)
+    for store in ts._stores:
+        block = store.rows.astype(np.int64)
+        for form in forms:
+            ((image, rows),) = form([(store.net, block)])
+            moved = (rows != block).any(axis=1) | (image is not store.net)
+            least = min(least, int(store.ids[moved].min(initial=least)))
+    return least
 
 
 def cmd_solve(args) -> int:
@@ -135,12 +145,10 @@ def cmd_verify(args) -> int:
     quotient = explore(system, rules, mode="quotient")
     ordinary = explore(system, rules, mode="ordinary")
 
-    cells = quotient._cells
-    checks = zip(cells, normalize_states(cells), brute_force_states(cells))
-    bad = [i for i, (cell, nf, bf) in enumerate(checks) if bf != cell or nf != cell]
-    print(f"normalize-oracle: {'FAIL' if bad else 'PASS'} ({len(quotient)} states)")
-    if bad:
-        print(f"  counterexample: {quotient.states[bad[0]].canonical()}", file=sys.stderr)
+    bad = _moved(quotient, normalize_states, brute_force_states)
+    print(f"normalize-oracle: {'FAIL' if bad < len(quotient) else 'PASS'} ({len(quotient)} states)")
+    if bad < len(quotient):
+        print(f"  counterexample: {quotient.states[bad].canonical()}", file=sys.stderr)
 
     partition = quotient_partition(ordinary, quotient)
     gen = build_generator(ordinary)
@@ -163,7 +171,7 @@ def cmd_verify(args) -> int:
     delta = float(np.abs(delta).max(initial=0.0)) if same else math.inf
     good = same and delta <= 1e-9
     print(f"lumped-vs-quotient: {'PASS' if good else 'FAIL'} (max |delta| = {delta:.3e})")
-    return 0 if good and not bad else 1
+    return 0 if good and bad == len(quotient) else 1
 
 
 def cmd_export_net(args) -> int:

@@ -16,6 +16,8 @@ Pair = tuple[str, int]
 
 _TAG_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 _INT64_MAX = np.iinfo(np.int64).max
+# most cells of a temporary matrix that the block kernels build at once
+_CELLS = 1 << 16
 
 
 class NotEnabledError(RuntimeError):
@@ -362,37 +364,14 @@ class CompiledNet:
         top = np.where(has, priority, -1).max(axis=1, initial=-1)
         rows, ts = np.nonzero(has & (priority == top[:, None]))
         targets = block[rows]
-        targets += delta[ts]
+        step = max(1, _CELLS // max(1, delta.shape[1]))  # Δ is gathered a slice of rows at a time
+        for at in range(0, len(ts), step):
+            targets[at:at + step] += delta[ts[at:at + step]]
         # none passes block.max() + grow; past int64 a count wraps below 0, as no firing leaves one
         if int(block.max(initial=0)) > _INT64_MAX - grow and targets.min(initial=0) < 0:
             pl = self.places[np.argwhere(targets < 0)[0, 1]]
             raise ValueError(f"token count on {pl} after firing does not fit in int64")
         return has, rows, ts, targets
-
-
-def _by_net(states) -> dict:
-    """The (positions, rows) of each net's states among (net, row) states."""
-    groups: dict = {}
-    for i, (net, row) in enumerate(states):
-        members, rows = groups.setdefault(net, ([], []))
-        members.append(i)
-        rows.append(row)
-    return groups
-
-
-def _block(net: Net, rows: list) -> np.ndarray:
-    """The int64 matrix of state rows of ``net``; read-only, as it shares
-    their joined bytes."""
-    width = len(net.compiled().places)
-    return np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), width)
-
-
-def _rows(block: np.ndarray) -> list:
-    """The bytes of each row of an int64 matrix, as state rows; a row over
-    no places is ``b""``, since numpy has no void view of size 0."""
-    if not block.shape[1]:
-        return [b""] * len(block)
-    return np.ascontiguousarray(block).view(f"V{8 * block.shape[1]}").ravel().tolist()
 
 
 class System:
@@ -409,20 +388,17 @@ class System:
         self._hash = None
 
     @classmethod
-    def decoded(cls, net: Net, row: bytes) -> "System":
-        """The net marked by a state's row: the bytes of an int64 vector
-        over its compiled places.  The places come from the net, so they
-        are not checked."""
+    def decoded(cls, net: Net, row: np.ndarray) -> "System":
+        """The net marked by a row: an int vector over its compiled
+        places.  The places come from the net, so they are not checked."""
         self = object.__new__(cls)
-        self.net = net
-        self.marking = net.compiled().decode(np.frombuffer(row, dtype=np.int64).tolist())
-        self._hash = None
+        self.net, self.marking, self._hash = net, net.compiled().decode(row.tolist()), None
         return self
 
     def _state(self) -> tuple:
-        """The (net, row) state of the system, which ``decoded`` inverts."""
-        vec = np.array(self.net.compiled().encode(self.marking), dtype=np.int64)
-        return (self.net, vec.tobytes())
+        """The system as a net block of one state: the net and the 1-row
+        int64 matrix of its marking vector, whose row ``decoded`` inverts."""
+        return (self.net, np.array([self.net.compiled().encode(self.marking)], dtype=np.int64))
 
     @property
     def key(self) -> tuple[str, str]:
@@ -483,13 +459,7 @@ def enabled(t: Transition, system: System) -> bool:
 
 def enab_set(system: System) -> tuple[Transition, ...]:
     """The set of enabled transitions, deduplicated and sorted."""
-    out = []
-    seen = set()
-    for t in enabled_instances(system):
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return tuple(out)
+    return tuple(dict.fromkeys(enabled_instances(system)))
 
 
 def fire(t: Transition, marking: Bag) -> Bag:

@@ -3,14 +3,14 @@
 
 ``expand`` computes the raw firing successors and rule matches of a block
 of marking vectors over one net.  ``_successors`` is the one place that
-turns a list of (net, row) states (``State``) into labelled, normalized
-successors: it groups the states by net, runs ``expand`` on each group,
-labels each raw edge and normalizes the distinct targets per target net.
-It returns those targets and, per raw edge, the position of its target;
-numbering states is left to its callers.  ``explore`` runs it on each BFS
-level and gives each new target its id; ``to_augmented``, ``fire_agg`` and
-``all_rewrites`` run it once on their one state and decode the targets,
-and ``rule_app`` runs ``expand`` on one row."""
+turns states, given as (net, int64 block) pairs, into labelled, normalized
+successors: it runs ``expand`` on each block, labels each raw edge,
+normalizes the distinct targets per target net and deduplicates what each
+net receives.  It returns those targets and, per raw edge, the position
+of its target; numbering states is left to its callers.  ``explore`` runs
+it on each BFS level and gives each new target its id; ``to_augmented``,
+``fire_agg`` and ``all_rewrites`` run it once on their one state and
+decode the targets, and ``rule_app`` runs ``expand`` on one row."""
 
 from __future__ import annotations
 
@@ -22,9 +22,9 @@ import numpy as np
 
 from .bag import Bag
 from .canon import _runs, normalize_block
-from .net import Net, Place, System, _INT64_MAX, _TAG_RE, _block, _by_net, _rows
+from .net import Net, Place, System, _INT64_MAX, _TAG_RE
 
-# odd base of the polynomial row hash that orders the rows for ``_distinct``
+# odd base of the polynomial row hash (``_hash``)
 _HASH_BASE = 0x9E3779B97F4A7C15
 
 # Opaque rule-specific binding record; two matches are equal iff their
@@ -137,17 +137,13 @@ def rule_sites(rule: RewriteRule, net: Net) -> tuple[RuleSite, ...]:
     return sites
 
 
-# a net and its row: the bytes of an int64 marking vector over ``net.compiled()``
-State = tuple[Net, bytes]
-
-
 def expand(net: Net, block: np.ndarray, rules: Sequence[RewriteRule]) -> tuple[list, list]:
     """The raw successors of every marking row of ``block``, an int64
     matrix over ``net.compiled()``: ``(steps, failures)``.  A step is
     ``(rows, target net, target rows, rule, how)``.
 
-    ``_successors`` runs it on each group of states of one net, and
-    ``rule_app`` on a one-row block.  The first step is
+    ``_successors`` runs it on each of its blocks, and ``rule_app`` on a
+    one-row block.  The first step is
     ``CompiledNet.step``'s firing: the enabled instances by row, then in
     net order; its rule is ``None`` and ``how`` holds the transition
     index of each row.  Then, in rule order and match order, one step per
@@ -217,77 +213,80 @@ def rule_app(rule: RewriteRule, system: System) -> tuple[tuple[Match, System], .
 
     Raises InjectivityError if two matches yield the same raw system.
     """
-    net = system.net
-    block = np.array([net.compiled().encode(system.marking)], dtype=np.int64)
-    steps, failures = expand(net, block, (rule,))
+    steps, failures = expand(*system._state(), (rule,))
     if failures:
         raise failures[0][1]
     return tuple(
-        (site.match, System.decoded(target, raw[0].tobytes()))
+        (site.match, System.decoded(target, raw[0]))
         for _rows, target, raw, _rule, site in steps[1:]
     )
 
 
-def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient: bool) -> tuple:
-    """The successors of each (net, row) state of ``states``, labelled and
-    normalized: ``(targets, src, dst, fired, label, labels, rate)``.
+def _successors(blocks: Sequence[tuple], rules: Sequence[RewriteRule], quotient: bool) -> tuple:
+    """The successors of the states of ``blocks``, (net, int64 block)
+    pairs, labelled and normalized: ``(targets, src, dst, fired, label,
+    labels, rate)``.
 
-    The states are expanded per net as one block (``expand``), built from
-    their rows with one join.  Each array holds one entry per raw edge:
-    its source's position in ``states``, the position of its target in
-    ``targets``, whether it is a firing (else a rule match), and the label
-    (an index into ``labels``) and rate of its transition's tag or of its
-    rule; a source's edges come in firing order, then rule order and
-    match order.  The raw targets are deduplicated per (target net,
-    normalized), and each group is normalized as one block
-    (``normalize_block``) in ``quotient`` mode or for a rule that
-    normalizes; ``targets`` lists each group's net and the rows of its
-    distinct targets, in the order in which ``dst`` counts them.  If
-    ``expand`` fails on some states, the error of the failing state with
-    the least position is raised, before any target is normalized; a
-    group whose first position is past the least failure found so far is
-    not expanded.
+    A state's position is the index of its row in the blocks taken one
+    after another (a net may have several blocks).  Each block is expanded
+    as one (``expand``).  Each array holds one entry per raw edge: its
+    source's position, the position of its target in ``targets``, whether
+    it is a firing (else a rule match), and the label (an index into
+    ``labels``) and rate of its transition's tag or of its rule; a
+    source's edges come in firing order, then rule order and match order.
+    The raw targets are grouped per (target net, normalized); a group that
+    is normalized (in ``quotient`` mode, or for a rule that normalizes) is
+    deduplicated and normalized as one block (``normalize_block``).  Then
+    the rows that each net receives are deduplicated (``_distinct``):
+    ``targets`` lists each net and the int64 matrix of its distinct rows,
+    in the order in which ``dst`` counts the rows.  If ``expand`` fails on
+    a block, the error of its failing state with the least position is
+    raised at once: no later block is expanded and no target normalized.
     """
     # what gives each kind of edge its label and rate: the rules, then
     # the transition tags of each net; per step, the kind of each edge
     tags, kinds, srcs = list(rules), [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    groups: dict = {}  # (target net, normalized) -> ([edge positions], [target rows])
-    offset, failed = 0, None  # (position, error) of the least failing state so far
-    for net, (members, state_rows) in _by_net(states).items():
-        if failed and members[0] > failed[0]:
-            continue  # the groups come in order of their first position
-        steps, failures = expand(net, _block(net, state_rows), rules)
+    groups: dict = {}  # (target net, normalized) -> ([edge positions], [raw target rows])
+    offset, start = 0, 0  # the raw edges so far; the position of the block's first state
+    for net, block in blocks:
+        steps, failures = expand(net, block, rules)
         if failures:
-            row, error = failures[0]
-            if not failed or members[row] < failed[0]:
-                failed = (members[row], error)
-            continue
-        members = np.array(members, dtype=np.int64)
+            raise failures[0][1]
         base = len(tags)
         tags += [t.tag for t in net.transitions]
         for rows, target, raws, rule, how in steps:
             if not len(rows):
                 continue
-            srcs.append(members[rows])
+            srcs.append(rows + start)
             kinds.append(how + base if rule is None else np.full(len(rows), rules.index(rule)))
             normalized = quotient or (rule is not None and rule.normalize_result)
             at, parts = groups.setdefault((target, normalized), ([], []))
             at.append(np.arange(offset, offset + len(rows)))
             parts.append(raws)
             offset += len(rows)
-    if failed:
-        raise failed[1]
-    targets, count = [], 0  # (net, distinct rows) per group; the rows so far
-    dst = np.empty(offset, dtype=np.int64)
+        start += len(block)
+        del block, steps, raws  # the groups hold the raw rows, each once
+    by_net: dict = {}  # target net -> ([(edge positions, row of each among the net's)], [rows])
     for (net, normalized), (at, parts) in groups.items():
-        raws = np.concatenate(parts)
-        inverse, first = _distinct(raws)
-        distinct = raws[first]
+        raws = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts.clear()
+        row = np.arange(len(raws))
         if normalized:
-            net, distinct = normalize_block(net, distinct)
-        dst[np.concatenate(at)] = inverse + count
-        count += len(distinct)
-        targets.append((net, _rows(distinct)))
+            row, first = _distinct(raws)
+            net, raws = normalize_block(net, raws[first])
+        edges, kept = by_net.setdefault(net, ([], []))
+        edges.append((np.concatenate(at), row + sum(map(len, kept))))
+        kept.append(raws)
+    targets, count = [], 0  # (net, distinct rows) per net; the rows so far
+    dst = np.empty(offset, dtype=np.int64)
+    for net, (edges, parts) in by_net.items():
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        parts.clear()
+        inverse, first = _distinct(rows)
+        for at, row in edges:
+            dst[at] = inverse[row] + count
+        count += len(first)
+        targets.append((net, rows[first]))
     src, kind = np.concatenate(srcs), np.concatenate(kinds)
     label_of: dict[str, int] = {}
     label = np.array([label_of.setdefault(t.tag, len(label_of)) for t in tags], dtype=np.int64)
@@ -295,14 +294,23 @@ def _successors(states: Sequence[State], rules: Sequence[RewriteRule], quotient:
     return targets, src, dst, kind >= len(rules), label[kind], list(label_of), rate[kind]
 
 
+def _hash(rows: np.ndarray) -> np.ndarray:
+    """The int64 hash of each row of an int64 matrix: its counts weighted
+    by the powers of ``_HASH_BASE``.  uint64 and int64 array arithmetic
+    wraps, as a hash may."""
+    return rows @ np.full(rows.shape[1], _HASH_BASE, dtype=np.uint64).cumprod().view(np.int64)
+
+
 def _distinct(rows: np.ndarray) -> tuple:
-    """``_runs`` of the rows of an int64 matrix, sorted by a row hash.  A
-    row starts a run unless it equals the row before it, so a hash
-    collision can only leave one row in two runs, never merge two
-    different rows."""
-    # powers of an odd base; uint64 and int64 array arithmetic wraps, as a hash may
-    weights = np.full(rows.shape[1], _HASH_BASE, dtype=np.uint64).cumprod().view(np.int64)
-    return _runs(np.lexsort((rows @ weights,)), rows)
+    """``_runs`` of the rows of an int64 matrix, sorted by their hash
+    (``_hash``), so equal rows are neighbours unless two different rows
+    share a hash; if two runs do, the rows are sorted by hash and then by
+    every count.  So a collision neither merges two rows nor splits one."""
+    hashes = _hash(rows)
+    run, first = _runs(np.lexsort((hashes,)), rows)
+    if (np.diff(hashes[first]) == 0).any():
+        run, first = _runs(np.lexsort((*rows.T, hashes)), rows)
+    return run, first
 
 
 def fire_agg(system: System) -> dict[Bag, dict[str, float]]:
@@ -339,8 +347,7 @@ def to_augmented(system: System, rules: Sequence[RewriteRule] = ()) -> Augmented
     """Augmented form of a system already in normal form: one
     ``_successors`` pass over its state, which raises the first failure
     of its rule matches."""
-    targets, _src, dst, fired, label, labels, rate = _successors(
-        [system._state()], rules, True)
+    targets, _src, dst, fired, label, labels, rate = _successors([system._state()], rules, True)
     targets = [(net, row) for net, rows in targets for row in rows]
     firing, rewrites = {}, {}  # normal target marking or system -> label -> rate
     for k, fire, lab, r in zip(dst.tolist(), fired.tolist(), label.tolist(), rate.tolist()):

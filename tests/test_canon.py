@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import random
 import subprocess
@@ -370,12 +371,14 @@ def test_oracle_checks_its_bound_on_every_call():
     with pytest.raises(CanonBoundError):
         brute_force_normal(s, bound=47)
     # on a block, per net: the empty net has one assignment
-    states = [System(Net())._state(), s._state()]
+    blocks = [System(Net())._state(), s._state()]
     expected = [System(Net())._state(), per_state_oracle(s)._state()]
-    assert brute_force_states(states, bound=48) == expected
+    least = brute_force_states(blocks, bound=48)
+    assert [net for net, _rows in least] == [net for net, _rows in expected]
+    assert all(np.array_equal(rows, want) for (_n, rows), (_m, want) in zip(least, expected))
     for _ in range(2):
         with pytest.raises(CanonBoundError) as exc:
-            brute_force_states(states, bound=47)
+            brute_force_states(blocks, bound=47)
         assert (exc.value.total, exc.value.bound) == (48, 47)
 
 
@@ -410,8 +413,14 @@ def test_brute_force_states_matches_the_per_state_oracle(cells, monkeypatch):
                        (npl_net(3, 2), 130)):
         systems += [System(net, _string_ordered_marking(net, rng)) for _ in range(count)]
     rng.shuffle(systems)
-    least = brute_force_states([s._state() for s in systems])
-    assert [System.decoded(*state) for state in least] == [per_state_oracle(s) for s in systems]
+    # one block per run of one net's systems in the shuffled list, so a net
+    # has several blocks
+    blocks = [(net, np.concatenate([s._state()[1] for s in run]))
+              for net, run in itertools.groupby(systems, key=lambda s: s.net)]
+    least = brute_force_states(blocks)
+    assert len(least) == len(blocks) > 4
+    decoded = [System.decoded(net, row) for net, rows in least for row in rows]
+    assert decoded == [per_state_oracle(s) for s in systems]
     assert brute_force_states([]) == []
 
 
@@ -448,14 +457,15 @@ def test_normalize_states_matches_the_per_state_oracle(make, unfixed, count):
     net = make()
     rng = random.Random(67)
     systems = [System(net, _string_ordered_marking(net, rng)) for _ in range(count)]
-    normal = normalize_states([s._state() for s in systems])
+    (normal,) = normalize_states([(net, np.concatenate([s._state()[1] for s in systems]))])
     # the table sits on the dense net, which the raw net holds; a raw net
     # that is not dense builds none
     dense = _dense(net)[0] or net
     assert dense is _densified(net)
     assert (_Images in dense._cache) == unfixed
     assert dense is net or _Images not in net._cache
-    assert [System.decoded(*state) for state in normal] == [per_state_oracle(s) for s in systems]
+    canon, rows = normal
+    assert [System.decoded(canon, row) for row in rows] == [per_state_oracle(s) for s in systems]
 
 
 def _densify(net):
@@ -526,8 +536,8 @@ def test_dense_net_table_is_built_once(monkeypatch):
     assert _densified(raws[0]) is _densified(raws[1])
     gc.collect()
     for net in raws:
-        states = [System(net, _string_ordered_marking(net, rng))._state() for _ in range(10)]
-        assert normalize_states(states)[0][0] is not _dense(net)[0]
+        states = [System(net, _string_ordered_marking(net, rng))._state()[1] for _ in range(10)]
+        assert normalize_states([(net, np.concatenate(states))])[0][0] is not _dense(net)[0]
         gc.collect()
     assert calls == [1]
 
@@ -693,7 +703,7 @@ def _mixed_rows(net, rng, counts):
 def _oracle_rows(net, block):
     out = []
     for vec in block:
-        s = brute_force_normal(System.decoded(net, vec.tobytes()))
+        s = brute_force_normal(System.decoded(net, vec))
         out.append((s.net, s.net.compiled().encode(s.marking)))
     return out
 
@@ -726,12 +736,9 @@ def _raw_targets(n):
     # the quotient state space, and the raw rows that firings and rules
     # reach from it, per target net
     ts = explore(build_npl_sys(n, 2, 2), production_rules(), mode="quotient")
-    by_net: dict = {}
-    for net, row in ts._cells:
-        by_net.setdefault(net, []).append(np.frombuffer(row, dtype=np.int64))
     raws: dict = {}
-    for net, vecs in by_net.items():
-        steps, failures = expand(net, np.array(vecs, dtype=np.int64), production_rules())
+    for store in ts._stores:
+        steps, failures = expand(store.net, store.rows.astype(np.int64), production_rules())
         assert not failures
         for _rows, target, found, _rule, _how in steps:
             raws.setdefault(target, []).append(found)

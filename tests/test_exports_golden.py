@@ -25,7 +25,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from rwspn import build_generator, build_npl_sys, default_grid, explore, measure_series
+from rwspn import (
+    build_generator,
+    build_npl_sys,
+    default_grid,
+    explore,
+    measure_series,
+    production_rules,
+    rewrite,
+)
 from rwspn.cli import main
 
 from conftest import ordinary_ts, quotient_ts
@@ -131,6 +139,25 @@ def _write_exports(case, out):
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
 def test_export_digests(case, tmp_path):
     names = _write_exports(case, tmp_path)
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
+    assert got == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", [("quotient", 2, 2, 2), ("ordinary", 1, 3, 3)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_export_digests_when_every_row_hash_collides(case, tmp_path, monkeypatch):
+    # with a hash base of 0 every row hashes to 0: ``_distinct`` must sort
+    # by counts, and each net's store must compare every stored row; the
+    # budget of the 295 and 400 states turns a state found twice into an error
+    monkeypatch.setattr(rewrite, "_HASH_BASE", 0)
+    assert not rewrite._hash(np.eye(4, dtype=np.int64)).any()
+    mode, n, k, m = case
+    rules, budget = (production_rules(), 295) if k == 2 else ((), 400)
+    ts = explore(build_npl_sys(n, k, m), rules, mode=mode, max_states=budget)
+    ts.write_states(tmp_path / "states.txt")
+    ts.write_edges(tmp_path / "edges.txt")
+    build_generator(ts).write_coo(tmp_path / "generator.coo")
+    names = ("states.txt", "edges.txt", "generator.coo")
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names)
     assert got == GOLDEN[case]
 

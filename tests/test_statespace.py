@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from functools import lru_cache
@@ -19,12 +20,14 @@ from rwspn import (
     place,
     production_rules,
     quotient_partition,
+    rewrite,
     to_augmented,
 )
 from rwspn.canon import normalize_states
 from rwspn.ctmc import Generator, build_generator, throughput
 from rwspn.net import CompiledNet
 from rwspn.rewrite import RewriteRule, compile_site
+from rwspn.statespace import _Store
 
 from conftest import chain, equal_tag_firing_and_rule, ordinary_ts, quotient_ts
 
@@ -44,7 +47,7 @@ def test_initial_state_is_index_zero():
 
 def test_levels_monotone_and_edges_sorted():
     ts = quotient_ts(2)
-    assert ts.levels == sorted(ts.levels)
+    assert ts.levels.tolist() == sorted(ts.levels.tolist())
     assert ts.edges == sorted(ts.edges)
     seen = set()
     for src, dst, label, _rate in ts.edges:
@@ -184,8 +187,13 @@ def test_zero_and_one_place_states(start):
     assert list(quotient.states) == list(ordinary.states) == expected
     assert quotient.edges == ordinary.edges
     assert [e[2:] for e in quotient.edges] == [("seed", 0.5)] * zero + [("t", 1.0)] * 2
-    assert normalize_states(ordinary._cells) == quotient._cells
-    assert normalize_states(quotient._cells[:1]) == quotient._cells[:1]
+    blocks = [[(store.net, store.rows.astype(np.int64)) for store in ts._stores]
+              for ts in (ordinary, quotient)]
+    normal = normalize_states(blocks[0])
+    assert [(net, rows.tolist()) for net, rows in normal] == [
+        (net, rows.tolist()) for net, rows in blocks[1]]
+    ((net, rows),) = normalize_states(blocks[1][:1])
+    assert net is blocks[1][0][0] and np.array_equal(rows, blocks[1][0][1])
     assert quotient_partition(ordinary, quotient) == list(range(len(expected)))
     empty = to_augmented(System(Net()), (SEED,))
     assert (empty.firing_targets, empty.rewrite_targets) == ({}, {_drain(2): {"seed": 0.5}})
@@ -266,7 +274,9 @@ def test_exports_roundtrip_shape(tmp_path):
 
 def test_explore_keeps_no_rendered_marking():
     # the 11,120 states of the firing-only N=2 model: their rendered
-    # markings were 4.4 MB of the 8.0 MB that ``explore`` kept
+    # markings were 4.4 MB of the 8.0 MB that ``explore`` kept, and their
+    # rows as bytes, with a (net, bytes) tuple each, 2.7 MB of 3.5 MB; as
+    # int8 rows in one store they take 0.22 MB
     tracemalloc.start()
     try:
         ts = explore(build_npl_sys(2, 3, 3), (), mode="ordinary")
@@ -274,7 +284,84 @@ def test_explore_keeps_no_rendered_marking():
     finally:
         tracemalloc.stop()
     assert len(ts) == 11120 and not hasattr(ts, "_marks")
-    assert kept < 5 * 2**20
+    assert [store.rows.dtype for store in ts._stores] == [np.int8]
+    assert kept < 1.5 * 2**20
+
+
+def test_successors_holds_each_raw_row_once():
+    # the widest level of the firing-only N=2 model, 2,016 states with
+    # 8,456 raw edges: ``expand``'s steps and each group's parts are
+    # dropped once a group's rows are joined, Δ is added and neighbours
+    # compared a slice at a time; holding the raw rows twice peaked at 4.9 MiB
+    ts = explore(build_npl_sys(2, 3, 3), (), mode="ordinary")
+    levels = np.asarray(ts.levels)
+    level = np.flatnonzero(levels == np.bincount(levels).argmax())
+    (store,) = ts._stores
+    block = store.rows[ts.states._row[level]].astype(np.int64)
+    tracemalloc.start()
+    try:
+        start, _peak = tracemalloc.get_traced_memory()
+        targets, src, *_rest = rewrite._successors([(store.net, block)], (), False)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(level) == 2016 and len(src) == 8456
+    assert peak - start < 4 * 2**20
+
+
+P, Q, R = (place((tag, 0)) for tag in "pqr")
+# SHA-256 of states.txt and edges.txt, taken from the explorer that held
+# each state's row as the bytes of its int64 vector
+WIDENED = {
+    "grow": ("3e7bb191e04edea9d285153d2bebb851c483d677cd44e313244a510c536abdc6",
+             "1ae8eafce7d088fdcc9de838a65b3cef6081f2d760b2ea5863c4e4aa7fa96f65"),
+    "pump": ("b0545c5c2922e94021d6fab872e33c0c6ad76c0f31891b6297444acd1c148a8e",
+             "4414090e5d1f695617321b1291bc38411256d047efc0d8ada2cd48a46e2885a0"),
+}
+
+
+def _widened(name):
+    # "grow" adds 100 tokens to p up to 40,000, so its counts pass int8 and
+    # then int16; "pump" adds 2**40 up to 2**42, which only int64 holds
+    if name == "grow":
+        grow = Transition(Bag(), Bag({P: 100}), Bag({P: 40000}), TransitionTag("grow"))
+        take = Transition(Bag({P: 30000}), Bag({Q: 1}), Bag({Q: 2}), TransitionTag("take", 0, 2.0))
+    else:
+        big = 1 << 40
+        grow = Transition(Bag(), Bag({P: big}), Bag({P: 4 * big}), TransitionTag("pump"))
+        take = Transition(Bag({P: big}), Bag({R: 1}), Bag({R: 3}), TransitionTag("take", 0, 0.5))
+    return System(Net([grow, take]))
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "quotient"])
+@pytest.mark.parametrize("name, states, dtype", [("grow", 1203, np.int32), ("pump", 20, np.int64)])
+def test_store_widens_its_rows(name, states, dtype, mode, tmp_path):
+    # the budget of the true state count makes a store that does not widen,
+    # whose wrapped rows are never found again, fail at once
+    ts = explore(_widened(name), mode=mode, max_states=states)
+    assert len(ts) == states and [store.rows.dtype for store in ts._stores] == [dtype]
+    ts.write_states(tmp_path / "states.txt")
+    ts.write_edges(tmp_path / "edges.txt")
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("states.txt", "edges.txt"))
+    assert got == WIDENED[name]
+    assert max(s.marking[P] for s in ts.states) == {"grow": 40000, "pump": 1 << 42}[name]
+
+
+def test_store_widens_its_matrix_keeping_every_row():
+    # each new count that its dtype does not hold widens the whole matrix,
+    # keeping every row stored before
+    store = _Store(Net([Transition(Bag({P: 1}), Bag({Q: 1}), Bag(), TransitionTag("t"))]))
+    added = [[5, 0], [127, 1], [128, 0], [0, 32768], [1 << 40, 3]]
+    dtypes = []
+    for i, row in enumerate(added):
+        block = np.array([row], dtype=np.int64)
+        store.add(block, i)
+        dtypes.append(store.rows.dtype)
+    assert dtypes == [np.int8, np.int8, np.int16, np.int32, np.int64]
+    assert store.rows.tolist() == added and store.ids.tolist() == [0, 1, 2, 3, 4]
+    queries = np.array(added[::-1] + [[5, 1]], dtype=np.int64)
+    assert store.find(queries).tolist() == [4, 3, 2, 1, 0, -1]
 
 
 def test_write_states_renders_in_bounded_slices(tmp_path):
@@ -371,4 +458,4 @@ def test_duplicate_edges_are_refused():
     ts = chain((0, 1, "x", 1.0))
     src, dst, kind = np.array([0, 0]), np.array([1, 1]), np.array([0, 1])
     with pytest.raises(AssertionError, match=r"duplicate edge \(0, 1, 'x'\)"):
-        TransitionSystem(ts._cells, ts.levels, src, dst, kind, [("x", 1.0), ("x", 2.0)])
+        TransitionSystem(ts._stores, ts.levels, src, dst, kind, [("x", 1.0), ("x", 2.0)])
